@@ -41,7 +41,7 @@ let key_of sys phases rems =
   Buffer.add_char buf '|';
   Array.iter
     (fun (p : Proc.t) ->
-      Buffer.add_string buf p.Proc.repr;
+      Buffer.add_string buf (Proc.repr p);
       Buffer.add_char buf ';')
     sys.System.procs;
   Buffer.add_char buf '|';

@@ -1,32 +1,67 @@
 module Vec = Lb_util.Vec
 
+(* Metastep ids are dense small integers, so every per-element table is
+   an array indexed by id, grown by doubling. Traversals mark visited
+   elements in one reusable [stamp] array against a per-traversal
+   generation — no table is allocated per query — and queue elements in
+   the reusable [queue] array, which each element enters at most once
+   per traversal. *)
 type t = {
   order : int Vec.t;  (* registration order *)
-  present : (int, unit) Hashtbl.t;
-  preds : (int, int list ref) Hashtbl.t;
-  succs : (int, int list ref) Hashtbl.t;
-  edges : (int * int, unit) Hashtbl.t;
+  mutable present : Bytes.t;  (* '\001' at registered ids *)
+  mutable preds : int list array;
+  mutable succs : int list array;
+  mutable stamp : int array;
+  mutable gen : int;
+  mutable queue : int array;
+  mutable indeg : int array;  (* topo_sort scratch *)
 }
 
 exception Cycle of int * int
 
+let initial_capacity = 64
+
 let create () =
   {
     order = Vec.create ();
-    present = Hashtbl.create 64;
-    preds = Hashtbl.create 64;
-    succs = Hashtbl.create 64;
-    edges = Hashtbl.create 64;
+    present = Bytes.make initial_capacity '\000';
+    preds = Array.make initial_capacity [];
+    succs = Array.make initial_capacity [];
+    stamp = Array.make initial_capacity 0;
+    gen = 0;
+    queue = Array.make initial_capacity 0;
+    indeg = Array.make initial_capacity 0;
   }
 
+let capacity t = Bytes.length t.present
+
+let grow t id =
+  let cap = capacity t in
+  let cap' = max (id + 1) (2 * cap) in
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  let present = Bytes.make cap' '\000' in
+  Bytes.blit t.present 0 present 0 cap;
+  t.present <- present;
+  t.preds <- extend t.preds [];
+  t.succs <- extend t.succs [];
+  t.stamp <- extend t.stamp 0;
+  t.queue <- extend t.queue 0;
+  t.indeg <- extend t.indeg 0
+
+let mem t id =
+  id >= 0 && id < capacity t && Bytes.unsafe_get t.present id <> '\000'
+
 let add_element t id =
-  if Hashtbl.mem t.present id then invalid_arg "Poset.add_element: duplicate";
-  Hashtbl.replace t.present id ();
-  Hashtbl.replace t.preds id (ref []);
-  Hashtbl.replace t.succs id (ref []);
+  if id < 0 then invalid_arg "Poset.add_element: negative id";
+  if mem t id then invalid_arg "Poset.add_element: duplicate";
+  if id >= capacity t then grow t id;
+  Bytes.unsafe_set t.present id '\001';
   Vec.push t.order id
 
-let mem t id = Hashtbl.mem t.present id
 let cardinal t = Vec.length t.order
 let elements t = Vec.to_list t.order
 
@@ -36,34 +71,41 @@ let check t id =
 
 let preds t id =
   check t id;
-  !(Hashtbl.find t.preds id)
+  t.preds.(id)
 
 let succs t id =
   check t id;
-  !(Hashtbl.find t.succs id)
+  t.succs.(id)
+
+(* Start a traversal: every stamp below the returned generation [g] is
+   stale. Each traversal reserves two marks, [g] and [g + 1]. *)
+let next_gen t =
+  t.gen <- t.gen + 2;
+  t.gen
 
 (* BFS over direct successors *)
 let reaches t a b =
-  if a = b then true
-  else begin
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.push a queue;
-    Hashtbl.replace visited a ();
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      List.iter
-        (fun y ->
-          if y = b then found := true
-          else if not (Hashtbl.mem visited y) then begin
-            Hashtbl.replace visited y ();
-            Queue.push y queue
-          end)
-        (succs t x)
-    done;
-    !found
-  end
+  a = b
+  ||
+  let g = next_gen t in
+  let stamp = t.stamp and queue = t.queue in
+  stamp.(a) <- g;
+  queue.(0) <- a;
+  let head = ref 0 and tail = ref 1 and found = ref false in
+  while (not !found) && !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    List.iter
+      (fun y ->
+        if y = b then found := true
+        else if stamp.(y) < g then begin
+          stamp.(y) <- g;
+          queue.(!tail) <- y;
+          incr tail
+        end)
+      t.succs.(x)
+  done;
+  !found
 
 let leq t a b =
   check t a;
@@ -73,63 +115,96 @@ let leq t a b =
 let add_edge t a b =
   check t a;
   check t b;
-  if a <> b && not (Hashtbl.mem t.edges (a, b)) then begin
+  if a <> b && not (List.mem b t.succs.(a)) then begin
     if reaches t b a then raise (Cycle (a, b));
-    Hashtbl.replace t.edges (a, b) ();
-    let sa = Hashtbl.find t.succs a and pb = Hashtbl.find t.preds b in
-    sa := b :: !sa;
-    pb := a :: !pb
+    t.succs.(a) <- b :: t.succs.(a);
+    t.preds.(b) <- a :: t.preds.(b)
   end
 
+(* [stop] must not query this poset: the traversal owns the stamps. *)
 let down_set_stopping t m ~stop =
   check t m;
   if stop m then []
   else begin
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.push m queue;
-    Hashtbl.replace visited m ();
+    let g = next_gen t in
+    let stamp = t.stamp and queue = t.queue in
+    stamp.(m) <- g;
+    queue.(0) <- m;
+    let head = ref 0 and tail = ref 1 in
     let out = ref [ m ] in
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
+    while !head < !tail do
+      let x = queue.(!head) in
+      incr head;
       List.iter
         (fun y ->
-          if (not (Hashtbl.mem visited y)) && not (stop y) then begin
-            Hashtbl.replace visited y ();
+          if stamp.(y) < g && not (stop y) then begin
+            stamp.(y) <- g;
             out := y :: !out;
-            Queue.push y queue
+            queue.(!tail) <- y;
+            incr tail
           end)
-        (preds t x)
+        t.preds.(x)
     done;
     !out
   end
 
 let down_set t m = down_set_stopping t m ~stop:(fun _ -> false)
 
-let maximal_among t xs =
-  List.filter
-    (fun x -> not (List.exists (fun y -> x <> y && leq t x y) xs))
-    xs
+(* One multi-source BFS from [xs] along [next]: an element reached over
+   at least one edge is stamped [g + 1] ("strictly beyond some x"); a
+   source not (yet) reached that way is stamped [g]. The extremes are
+   the sources left at [g], in input order. *)
+let extremes_among t next xs =
+  List.iter (check t) xs;
+  let g = next_gen t in
+  let stamp = t.stamp and queue = t.queue in
+  let tail = ref 0 in
+  List.iter
+    (fun x ->
+      if stamp.(x) < g then begin
+        stamp.(x) <- g;
+        queue.(!tail) <- x;
+        incr tail
+      end)
+    xs;
+  let head = ref 0 in
+  while !head < !tail do
+    let x = queue.(!head) in
+    incr head;
+    List.iter
+      (fun y ->
+        if stamp.(y) < g then begin
+          queue.(!tail) <- y;
+          incr tail
+        end;
+        stamp.(y) <- g + 1)
+      next.(x)
+  done;
+  List.filter (fun x -> stamp.(x) = g) xs
 
-let minimal_among t xs =
-  List.filter
-    (fun x -> not (List.exists (fun y -> x <> y && leq t y x) xs))
-    xs
+let maximal_among t xs = extremes_among t t.preds xs
+let minimal_among t xs = extremes_among t t.succs xs
 
 let topo_sort t xs =
-  let inset = Hashtbl.create (List.length xs) in
-  List.iter (fun x -> Hashtbl.replace inset x ()) xs;
-  let indeg = Hashtbl.create (List.length xs) in
+  let bad () =
+    invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates"
+  in
+  List.iter (check t) xs;
+  let g = next_gen t in
+  let stamp = t.stamp and indeg = t.indeg in
+  List.iter (fun x -> if stamp.(x) = g then bad () else stamp.(x) <- g) xs;
+  let module Iset = Set.Make (Int) in
+  let ready = ref Iset.empty in
   List.iter
     (fun x ->
       let d =
-        List.length (List.filter (fun p -> Hashtbl.mem inset p) (preds t x))
+        List.fold_left
+          (fun d p -> if stamp.(p) = g then d + 1 else d)
+          0 t.preds.(x)
       in
-      Hashtbl.replace indeg x d)
+      indeg.(x) <- d;
+      if d = 0 then ready := Iset.add x !ready)
     xs;
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
-  List.iter (fun x -> if Hashtbl.find indeg x = 0 then ready := Iset.add x !ready) xs;
   let out = ref [] in
   let count = ref 0 in
   while not (Iset.is_empty !ready) do
@@ -139,15 +214,14 @@ let topo_sort t xs =
     incr count;
     List.iter
       (fun y ->
-        if Hashtbl.mem inset y then begin
-          let d = Hashtbl.find indeg y - 1 in
-          Hashtbl.replace indeg y d;
+        if stamp.(y) = g then begin
+          let d = indeg.(y) - 1 in
+          indeg.(y) <- d;
           if d = 0 then ready := Iset.add y !ready
         end)
-      (succs t x)
+      t.succs.(x)
   done;
-  if !count <> List.length xs then
-    invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates";
+  if !count <> List.length xs then bad ();
   List.rev !out
 
 let is_chain t xs =

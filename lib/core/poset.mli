@@ -4,7 +4,11 @@
     are added once; edges only accumulate, so reachability ([leq]) is the
     reflexive–transitive closure of the edge relation. The construction
     adds edges only from already-present elements, which keeps the relation
-    acyclic; {!add_edge} enforces this with an explicit check. *)
+    acyclic; {!add_edge} enforces this with an explicit check.
+
+    Ids index growable arrays, so they should be dense small naturals
+    (metastep ids are). Queries reuse per-poset scratch arrays: a poset
+    is not safe to share between domains, even read-only. *)
 
 type t
 
@@ -12,7 +16,7 @@ val create : unit -> t
 
 val add_element : t -> int -> unit
 (** Register a new element id. Ids must be registered before use; raises
-    [Invalid_argument] on duplicates. *)
+    [Invalid_argument] on duplicates and negative ids. *)
 
 val mem : t -> int -> bool
 
@@ -43,10 +47,12 @@ val down_set : t -> int -> int list
 val down_set_stopping : t -> int -> stop:(int -> bool) -> int list
 (** Like {!down_set} but does not traverse below elements satisfying
     [stop] (the stopped elements themselves are excluded). Used to collect
-    the not-yet-executed part of a down-set cheaply. *)
+    the not-yet-executed part of a down-set cheaply. [stop] must not
+    query the poset. *)
 
 val maximal_among : t -> int list -> int list
-(** Elements of the list with no strict successor in the list. *)
+(** Elements of the list with no strict successor in the list, in input
+    order. One traversal of the down-set of the list. *)
 
 val minimal_among : t -> int list -> int list
 

@@ -5,13 +5,12 @@ open Lb_shmem
    armed states of the same underlying automaton. *)
 let rec tagged tag (inner : Proc.t) =
   {
-    inner with
-    Proc.repr = inner.Proc.repr ^ tag;
-    advance = (fun resp -> tagged tag (inner.Proc.advance resp));
+    (Proc.with_repr inner (Proc.repr inner ^ tag)) with
+    Proc.advance = (fun resp -> tagged tag (inner.Proc.advance resp));
   }
 
 let armed_repr (inner : Proc.t) countdown =
-  Printf.sprintf "%s|a%d" inner.Proc.repr countdown
+  Printf.sprintf "%s|a%d" (Proc.repr inner) countdown
 
 (* Crash-stop with restart: at the trigger point the target loses its
    volatile local state and resumes as [reset] (its spawn-time initial
@@ -20,9 +19,8 @@ let armed_repr (inner : Proc.t) countdown =
 let crash ~at ~reset inner0 =
   let rec armed countdown (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = armed_repr inner countdown;
-      advance =
+      (Proc.with_repr inner (armed_repr inner countdown)) with
+      Proc.advance =
         (fun resp ->
           let fire =
             match at with
@@ -54,9 +52,8 @@ let on_nth_access ~matches ~fire ~nth inner0 =
     if remaining = 1 && matches inner.Proc.pending then fire inner
     else
       {
-        inner with
-        Proc.repr = armed_repr inner remaining;
-        advance =
+        (Proc.with_repr inner (armed_repr inner remaining)) with
+        Proc.advance =
           (fun resp ->
             let dec = if matches inner.Proc.pending then 1 else 0 in
             armed (remaining - dec) (inner.Proc.advance resp));
@@ -84,9 +81,8 @@ let lost_write ~nth inner0 =
         | Step.Read _ | Step.Rmw _ | Step.Crit _ -> assert false
       in
       {
-        inner with
+        (Proc.with_repr inner (armed_repr inner 1)) with
         Proc.pending = Step.Read r;
-        repr = armed_repr inner 1;
         advance = (fun _resp -> tagged "|f" (inner.Proc.advance Step.Ack));
       })
     inner0
@@ -102,9 +98,8 @@ let stale_read ~init ~nth inner0 =
         | Step.Write _ | Step.Rmw _ | Step.Crit _ -> assert false
       in
       {
-        inner with
-        Proc.repr = armed_repr inner 1;
-        advance =
+        (Proc.with_repr inner (armed_repr inner 1)) with
+        Proc.advance =
           (fun _resp -> tagged "|f" (inner.Proc.advance (Step.Got init.(r))));
       })
     inner0
@@ -126,9 +121,8 @@ let corrupt_write ~specs ~off_domain ~nth inner0 =
         | Step.Read _ | Step.Rmw _ | Step.Crit _ -> assert false
       in
       {
-        inner with
+        (Proc.with_repr inner (armed_repr inner 1)) with
         Proc.pending = Step.Write (r, corrupt_value specs.(r) ~off_domain v);
-        repr = armed_repr inner 1;
         advance = (fun _resp -> tagged "|f" (inner.Proc.advance Step.Ack));
       })
     inner0

@@ -21,9 +21,8 @@ let skew (spec : Register.spec) v =
 let guard_flip ~specs ~reg inner0 =
   let rec wrap (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
-      advance =
+      (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
+      Proc.advance =
         (fun resp ->
           let resp' =
             match (inner.Proc.pending, resp) with
@@ -48,15 +47,14 @@ let spin_invert ~specs ~n ~reg inner0 =
   in
   let rec wrap (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
-      advance =
+      (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
+      Proc.advance =
         (fun resp ->
           match (inner.Proc.pending, resp) with
           | Step.Read r, Step.Got v when r = reg ->
               let probe w =
                 match inner.Proc.advance (Step.Got w) with
-                | p -> Some (p.Proc.repr = inner.Proc.repr)
+                | p -> Some (Proc.equal_state p inner)
                 | exception _ -> None
               in
               let spins w = probe w = Some true in
@@ -85,16 +83,14 @@ let drop_write ~reg inner0 =
     match inner.Proc.pending with
     | Step.Write (r, _) when r = reg ->
         {
-          inner with
+          (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
           Proc.pending = Step.Read reg;
-          repr = inner.Proc.repr ^ "|m";
           advance = (fun _resp -> wrap (inner.Proc.advance Step.Ack));
         }
     | _ ->
         {
-          inner with
-          Proc.repr = inner.Proc.repr ^ "|m";
-          advance = (fun resp -> wrap (inner.Proc.advance resp));
+          (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
+          Proc.advance = (fun resp -> wrap (inner.Proc.advance resp));
         }
   in
   wrap inner0
@@ -107,9 +103,8 @@ let drop_write ~reg inner0 =
 let dup_write ~reg inner0 =
   let rec idle (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = inner.Proc.repr ^ "|m";
-      advance =
+      (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
+      Proc.advance =
         (fun resp ->
           match inner.Proc.pending with
           | Step.Write (r, v) when r = reg -> armed v (inner.Proc.advance resp)
@@ -117,15 +112,13 @@ let dup_write ~reg inner0 =
     }
   and armed v (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = Printf.sprintf "%s|ma%d" inner.Proc.repr v;
-      advance = (fun resp -> redo v (inner.Proc.advance resp));
+      (Proc.with_repr inner (Printf.sprintf "%s|ma%d" (Proc.repr inner) v)) with
+      Proc.advance = (fun resp -> redo v (inner.Proc.advance resp));
     }
   and redo v (inner : Proc.t) =
     {
-      inner with
+      (Proc.with_repr inner (Printf.sprintf "%s|mr%d" (Proc.repr inner) v)) with
       Proc.pending = Step.Write (reg, v);
-      repr = Printf.sprintf "%s|mr%d" inner.Proc.repr v;
       advance = (fun _resp -> idle inner);
     }
   in
@@ -148,9 +141,8 @@ let reg_swap ~r1 ~r2 inner0 =
       | Step.Crit _ as c -> c
     in
     {
-      inner with
+      (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
       Proc.pending;
-      repr = inner.Proc.repr ^ "|m";
       advance = (fun resp -> wrap (inner.Proc.advance resp));
     }
   in
@@ -172,9 +164,8 @@ let rmw_split ~reg inner0 =
     match inner.Proc.pending with
     | Step.Rmw (r, op) when r = reg ->
         {
-          inner with
+          (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
           Proc.pending = Step.Read reg;
-          repr = inner.Proc.repr ^ "|m";
           advance =
             (fun resp ->
               let v = match resp with Step.Got v -> v | Step.Ack -> 0 in
@@ -182,15 +173,13 @@ let rmw_split ~reg inner0 =
         }
     | _ ->
         {
-          inner with
-          Proc.repr = inner.Proc.repr ^ "|m";
-          advance = (fun resp -> idle (inner.Proc.advance resp));
+          (Proc.with_repr inner (Proc.repr inner ^ "|m")) with
+          Proc.advance = (fun resp -> idle (inner.Proc.advance resp));
         }
   and write_back op v (inner : Proc.t) =
     {
-      inner with
+      (Proc.with_repr inner (Printf.sprintf "%s|mw%d" (Proc.repr inner) v)) with
       Proc.pending = Step.Write (reg, apply_rmw op v);
-      repr = Printf.sprintf "%s|mw%d" inner.Proc.repr v;
       advance = (fun _resp -> idle (inner.Proc.advance (Step.Got v)));
     }
   in
@@ -208,25 +197,22 @@ let stmt_swap ~reg inner0 =
         match next.Proc.pending with
         | Step.Write (r2, v2) when r2 <> r1 || v2 <> v1 ->
             {
-              inner with
+              (Proc.with_repr inner (Proc.repr inner ^ "|m1")) with
               Proc.pending = Step.Write (r2, v2);
-              repr = inner.Proc.repr ^ "|m1";
               advance = (fun _resp -> second ~v1 (next.Proc.advance Step.Ack));
             }
         | _ -> passthrough inner)
     | _ -> passthrough inner
   and second ~v1 (inner : Proc.t) =
     {
-      inner with
+      (Proc.with_repr inner (Printf.sprintf "%s|m2:%d" (Proc.repr inner) v1)) with
       Proc.pending = Step.Write (reg, v1);
-      repr = Printf.sprintf "%s|m2:%d" inner.Proc.repr v1;
       advance = (fun _resp -> idle inner);
     }
   and passthrough (inner : Proc.t) =
     {
-      inner with
-      Proc.repr = inner.Proc.repr ^ "|m0";
-      advance = (fun resp -> idle (inner.Proc.advance resp));
+      (Proc.with_repr inner (Proc.repr inner ^ "|m0")) with
+      Proc.advance = (fun resp -> idle (inner.Proc.advance resp));
     }
   in
   idle inner0

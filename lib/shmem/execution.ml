@@ -74,11 +74,34 @@ let count_crit t which =
     t;
   counts
 
+(* Appends exactly the bytes of [Step.to_string s], without going
+   through Format: fingerprinting runs once per certified pi. Only the
+   rare rmw step still formats. *)
+let add_step buf (s : Step.t) =
+  let int i = Buffer.add_string buf (string_of_int i) in
+  Buffer.add_char buf 'p';
+  int s.Step.who;
+  Buffer.add_char buf ':';
+  match s.Step.action with
+  | Step.Read r ->
+    Buffer.add_string buf "read(r";
+    int r;
+    Buffer.add_char buf ')'
+  | Step.Write (r, v) ->
+    Buffer.add_string buf "write(r";
+    int r;
+    Buffer.add_char buf ',';
+    int v;
+    Buffer.add_char buf ')'
+  | Step.Rmw _ as a ->
+    Buffer.add_string buf (Format.asprintf "%a" Step.pp_action a)
+  | Step.Crit c -> Buffer.add_string buf (Step.crit_name c)
+
 let fingerprint t =
-  let buf = Buffer.create (Vec.length t * 8) in
+  let buf = Buffer.create (Vec.length t * 16) in
   Vec.iter
     (fun s ->
-      Buffer.add_string buf (Step.to_string s);
+      add_step buf s;
       Buffer.add_char buf ';')
     t;
   Digest.to_hex (Digest.string (Buffer.contents buf))

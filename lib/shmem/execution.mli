@@ -57,7 +57,9 @@ val count_crit : t -> Step.crit -> int array
 
 val fingerprint : t -> string
 (** A canonical string identifying the execution (used for distinctness
-    checks across permutations, Theorem 7.5). *)
+    checks across permutations, Theorem 7.5): the hex MD5 of every
+    step's {!Step.to_string}, each followed by [';']. Stored in
+    certificate records, so these bytes are stable. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,14 +1,21 @@
+type key = ..
+
 type t = {
   id : int;
   pending : Step.action;
   advance : Step.response -> t;
-  repr : string;
+  key : key;
+  repr : unit -> string;
 }
 
-let equal_state p q = p == q || String.equal p.repr q.repr
+type key += Repr of string
+
+let repr p = p.repr ()
+let equal_state p q = p == q || p.key = q.key
+let with_repr p s = { p with key = Repr s; repr = (fun () -> s) }
 
 let pp ppf p =
-  Format.fprintf ppf "p%d[%a|%s]" p.id Step.pp_action p.pending p.repr
+  Format.fprintf ppf "p%d[%a|%s]" p.id Step.pp_action p.pending (repr p)
 
 module type STATE = sig
   type state
@@ -20,12 +27,15 @@ module type STATE = sig
 end
 
 module Make_spawn (S : STATE) = struct
+  type key += State of S.state
+
   let rec wrap ~n ~me st =
     {
       id = me;
       pending = S.pending ~n ~me st;
       advance = (fun resp -> wrap ~n ~me (S.advance ~n ~me st resp));
-      repr = S.repr st;
+      key = State st;
+      repr = (fun () -> S.repr st);
     }
 
   let spawn ~n ~me =

@@ -106,7 +106,7 @@ let peek_after_read t i v =
   not (Proc.equal_state p (p.Proc.advance (Step.Got v)))
 
 let num_regs t = Array.length t.regs
-let state_repr t i = t.procs.(i).Proc.repr
+let state_repr t i = Proc.repr t.procs.(i)
 let pending_of t i = t.procs.(i).Proc.pending
 
 let pp ppf t =

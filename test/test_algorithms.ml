@@ -288,6 +288,78 @@ let test_szymanski_bounded_flags () =
              if v < 0 || v > 4 then Alcotest.failf "flag out of range: %d" v)
            sys.System.regs))
 
+(* Proc.equal_state compares state keys, not reprs; the two must agree
+   on every pair of one process's reachable states. Random schedules
+   from the initial state reach the states (the automata cycle through
+   their sections, so states recur); each key class keeps one
+   representative, grouped by repr, and all representative pairs are
+   compared. *)
+let walk_states (algo : Algorithm.t) ~n ~seed =
+  let rng = Lb_util.Rng.create seed in
+  let sys = System.init algo ~n in
+  let seen = Array.map (fun p -> [ p ]) sys.System.procs in
+  (try
+     for _ = 1 to 3000 do
+       let i = Lb_util.Rng.int rng n in
+       ignore (System.apply sys (Step.step i (System.pending_of sys i)));
+       seen.(i) <- sys.System.procs.(i) :: seen.(i)
+     done
+   with _ -> (* a mutant or fault may step out of its register file *) ());
+  seen
+
+let check_keys_match_reprs label (algo : Algorithm.t) ~n =
+  for seed = 1 to 3 do
+    Array.iteri
+      (fun me states ->
+        let by_repr = Hashtbl.create 64 in
+        List.iter
+          (fun p ->
+            let r = Proc.repr p in
+            let reps = Option.value ~default:[] (Hashtbl.find_opt by_repr r) in
+            if not (List.exists (fun (q, _) -> Proc.equal_state p q) reps) then
+              Hashtbl.replace by_repr r ((p, r) :: reps))
+          states;
+        let reps = Hashtbl.fold (fun _ ps acc -> List.rev_append ps acc) by_repr [] in
+        List.iter
+          (fun (a, ra) ->
+            List.iter
+              (fun (b, rb) ->
+                if Proc.equal_state a b <> String.equal ra rb then
+                  Alcotest.failf "%s n=%d p%d: equal_state disagrees on %S vs %S"
+                    label n me ra rb)
+              reps)
+          reps)
+      (walk_states algo ~n ~seed)
+  done
+
+let test_keyed_equality_registry () =
+  List.iter
+    (fun (algo : Algorithm.t) ->
+      List.iter
+        (fun n ->
+          if Algorithm.supports algo n then
+            check_keys_match_reprs algo.Algorithm.name algo ~n)
+        [ 2; 3; 4 ])
+    Lb_algos.Registry.all
+
+let test_keyed_equality_wrappers () =
+  let rng = Lb_util.Rng.create 13 in
+  List.iter
+    (fun name ->
+      let base = Lb_algos.Registry.find_exn name in
+      for _ = 1 to 4 do
+        let w = Lb_faults.Inject.wrap (Lb_faults.Fault.generate rng ~n:2) base in
+        check_keys_match_reprs w.Algorithm.name w ~n:2
+      done;
+      let auto = Lb_analysis.Automaton.explore base ~n:2 in
+      List.iter
+        (fun op ->
+          let m = Lb_mutate.Mutant.make base ~n:2 op in
+          check_keys_match_reprs m.Lb_mutate.Mutant.algo.Algorithm.name
+            m.Lb_mutate.Mutant.algo ~n:2)
+        (Lb_mutate.Op.sites auto))
+    [ "peterson2"; "bakery"; "filter"; "tas" ]
+
 let suite =
   greedy_cases @ rr_cases @ random_cases @ mc_n2_cases @ mc_n3_cases
   @ mc_rounds2_cases @ mc_deep_cases
@@ -303,4 +375,8 @@ let suite =
       Alcotest.test_case "szymanski bounded flags" `Quick test_szymanski_bounded_flags;
       Alcotest.test_case "common helpers" `Quick test_common_helpers;
       Alcotest.test_case "two-process limits" `Quick test_two_process_limits;
+      Alcotest.test_case "keyed equality = repr equality" `Quick
+        test_keyed_equality_registry;
+      Alcotest.test_case "keyed equality under wrappers" `Quick
+        test_keyed_equality_wrappers;
     ]

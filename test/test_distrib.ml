@@ -527,22 +527,33 @@ let test_chaos_subprocess_storm () =
 let test_certify_workers_cli () =
   let dir = fresh_dir () in
   let out = Filename.temp_file "mutexlb_distrib" ".out" in
+  let err = Filename.temp_file "mutexlb_distrib" ".err" in
   Fun.protect
     ~finally:(fun () ->
       rm_rf dir;
-      Sys.remove out)
+      Sys.remove out;
+      Sys.remove err)
   @@ fun () ->
   let cmd =
     Printf.sprintf
       "%s certify --algo yang_anderson -n 4 --seed 7 --perms 12 --store %s \
-       --workers 2 -j 1 > %s 2>/dev/null"
-      exe (Filename.quote dir) (Filename.quote out)
+       --workers 2 -j 1 > %s 2> %s"
+      exe (Filename.quote dir) (Filename.quote out) (Filename.quote err)
   in
   Alcotest.(check int) "exit 0" 0 (Sys.command cmd);
   let oracle_cert, _ = oracle () in
   let text = read_file out in
   Alcotest.(check bool) "prints the oracle certificate" true
-    (Astring_contains.contains text (cert_text oracle_cert))
+    (Astring_contains.contains text (cert_text oracle_cert));
+  (* a worker that fails to start leaves its units to the aggregate
+     pass, which still prints the right certificate: only the exit
+     reports and the all-hits aggregate pass show the workers ran *)
+  let errs = read_file err in
+  Alcotest.(check bool) "no worker exited abnormally" false
+    (Astring_contains.contains errs "exited"
+    || Astring_contains.contains errs "killed by signal");
+  Alcotest.(check bool) "workers computed every unit" true
+    (Astring_contains.contains text "12 hits, 0 computed, 0 failed")
 
 (* --retry: temp-fails back off and retry, then give up with the same
    exit code the single attempt would have used *)

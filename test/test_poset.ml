@@ -150,6 +150,223 @@ let leq_transitive =
             els)
         els)
 
+(* The original Hashtbl-backed implementation, kept as a naive reference
+   for the array-backed one: per-query hash tables, O(k^2) leq calls in
+   maximal_among / minimal_among. *)
+module Naive = struct
+  type t = {
+    order : int list ref;  (* registration order, reversed *)
+    preds : (int, int list ref) Hashtbl.t;
+    succs : (int, int list ref) Hashtbl.t;
+    edges : (int * int, unit) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      order = ref [];
+      preds = Hashtbl.create 64;
+      succs = Hashtbl.create 64;
+      edges = Hashtbl.create 64;
+    }
+
+  let add_element t id =
+    if Hashtbl.mem t.preds id then invalid_arg "Poset.add_element: duplicate";
+    Hashtbl.replace t.preds id (ref []);
+    Hashtbl.replace t.succs id (ref []);
+    t.order := id :: !(t.order)
+
+  let elements t = List.rev !(t.order)
+
+  let check t id =
+    if not (Hashtbl.mem t.preds id) then
+      invalid_arg (Printf.sprintf "Poset: unknown element %d" id)
+
+  let preds t id =
+    check t id;
+    !(Hashtbl.find t.preds id)
+
+  let succs t id =
+    check t id;
+    !(Hashtbl.find t.succs id)
+
+  let reaches t a b =
+    if a = b then true
+    else begin
+      let visited = Hashtbl.create 16 in
+      let queue = Queue.create () in
+      Queue.push a queue;
+      Hashtbl.replace visited a ();
+      let found = ref false in
+      while (not !found) && not (Queue.is_empty queue) do
+        let x = Queue.pop queue in
+        List.iter
+          (fun y ->
+            if y = b then found := true
+            else if not (Hashtbl.mem visited y) then begin
+              Hashtbl.replace visited y ();
+              Queue.push y queue
+            end)
+          (succs t x)
+      done;
+      !found
+    end
+
+  let leq t a b =
+    check t a;
+    check t b;
+    reaches t a b
+
+  let add_edge t a b =
+    check t a;
+    check t b;
+    if a <> b && not (Hashtbl.mem t.edges (a, b)) then begin
+      if reaches t b a then raise (Poset.Cycle (a, b));
+      Hashtbl.replace t.edges (a, b) ();
+      let sa = Hashtbl.find t.succs a and pb = Hashtbl.find t.preds b in
+      sa := b :: !sa;
+      pb := a :: !pb
+    end
+
+  let down_set_stopping t m ~stop =
+    check t m;
+    if stop m then []
+    else begin
+      let visited = Hashtbl.create 16 in
+      let queue = Queue.create () in
+      Queue.push m queue;
+      Hashtbl.replace visited m ();
+      let out = ref [ m ] in
+      while not (Queue.is_empty queue) do
+        let x = Queue.pop queue in
+        List.iter
+          (fun y ->
+            if (not (Hashtbl.mem visited y)) && not (stop y) then begin
+              Hashtbl.replace visited y ();
+              out := y :: !out;
+              Queue.push y queue
+            end)
+          (preds t x)
+      done;
+      !out
+    end
+
+  let down_set t m = down_set_stopping t m ~stop:(fun _ -> false)
+
+  let maximal_among t xs =
+    List.filter
+      (fun x -> not (List.exists (fun y -> x <> y && leq t x y) xs))
+      xs
+
+  let minimal_among t xs =
+    List.filter
+      (fun x -> not (List.exists (fun y -> x <> y && leq t y x) xs))
+      xs
+
+  let topo_sort t xs =
+    let inset = Hashtbl.create (List.length xs) in
+    List.iter (fun x -> Hashtbl.replace inset x ()) xs;
+    let indeg = Hashtbl.create (List.length xs) in
+    List.iter
+      (fun x ->
+        let d =
+          List.length (List.filter (fun p -> Hashtbl.mem inset p) (preds t x))
+        in
+        Hashtbl.replace indeg x d)
+      xs;
+    let module Iset = Set.Make (Int) in
+    let ready = ref Iset.empty in
+    List.iter
+      (fun x -> if Hashtbl.find indeg x = 0 then ready := Iset.add x !ready)
+      xs;
+    let out = ref [] in
+    let count = ref 0 in
+    while not (Iset.is_empty !ready) do
+      let x = Iset.min_elt !ready in
+      ready := Iset.remove x !ready;
+      out := x :: !out;
+      incr count;
+      List.iter
+        (fun y ->
+          if Hashtbl.mem inset y then begin
+            let d = Hashtbl.find indeg y - 1 in
+            Hashtbl.replace indeg y d;
+            if d = 0 then ready := Iset.add y !ready
+          end)
+        (succs t x)
+    done;
+    if !count <> List.length xs then
+      invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates";
+    List.rev !out
+end
+
+(* Build both posets from one random script: ids registered in a
+   shuffled order, then random edges in both directions (some close a
+   cycle and must be refused identically by both). *)
+let twin_posets seed size =
+  let rng = Lb_util.Rng.create seed in
+  let ids = Lb_util.Rng.permutation rng size in
+  let p = Poset.create () and q = Naive.create () in
+  Array.iter
+    (fun id ->
+      Poset.add_element p id;
+      Naive.add_element q id)
+    ids;
+  let agree = ref true in
+  for _ = 1 to 2 * size do
+    let a = Lb_util.Rng.int rng size and b = Lb_util.Rng.int rng size in
+    let outcome f = match f () with () -> None | exception Poset.Cycle (x, y) -> Some (x, y) in
+    let r1 = outcome (fun () -> Poset.add_edge p a b) in
+    let r2 = outcome (fun () -> Naive.add_edge q a b) in
+    if r1 <> r2 then agree := false
+  done;
+  (p, q, rng, !agree)
+
+let random_subset rng xs =
+  List.filter (fun _ -> Lb_util.Rng.int rng 3 = 0) xs
+
+let matches_naive_reference =
+  QCheck.Test.make ~name:"array poset = naive reference" ~count:200
+    QCheck.(pair small_int (int_range 1 24))
+    (fun (seed, size) ->
+      let p, q, rng, cycles_agree = twin_posets seed size in
+      let els = Naive.elements q in
+      let sub = random_subset rng els in
+      let stop x = x mod 3 = 0 in
+      cycles_agree
+      && Poset.elements p = els
+      && List.for_all
+           (fun a ->
+             Poset.preds p a = Naive.preds q a
+             && Poset.succs p a = Naive.succs q a
+             && Poset.down_set p a = Naive.down_set q a
+             && Poset.down_set_stopping p a ~stop
+                = Naive.down_set_stopping q a ~stop
+             && List.for_all (fun b -> Poset.leq p a b = Naive.leq q a b) els)
+           els
+      && Poset.maximal_among p sub = Naive.maximal_among q sub
+      && Poset.minimal_among p sub = Naive.minimal_among q sub
+      && Poset.maximal_among p (sub @ sub) = Naive.maximal_among q (sub @ sub)
+      && Poset.topo_sort p sub = Naive.topo_sort q sub
+      && Poset.topo_sort p els = Naive.topo_sort q els)
+
+let topo_sort_rejects_duplicates () =
+  let p = diamond () in
+  Alcotest.check_raises "duplicate input"
+    (Invalid_argument "Poset.topo_sort: input not acyclic or contains duplicates")
+    (fun () -> ignore (Poset.topo_sort p [ 1; 3; 1 ]));
+  Alcotest.check_raises "unknown element"
+    (Invalid_argument "Poset: unknown element 7")
+    (fun () -> ignore (Poset.topo_sort p [ 1; 7 ]));
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Poset.add_element: negative id")
+    (fun () -> Poset.add_element p (-1));
+  (* sparse ids grow the tables *)
+  Poset.add_element p 1000;
+  Poset.add_edge p 3 1000;
+  Alcotest.(check bool) "0 <= 1000" true (Poset.leq p 0 1000);
+  Alcotest.(check (list int)) "maximal across growth" [ 1000 ]
+    (Poset.maximal_among p [ 0; 1000; 2 ])
+
 let suite =
   [
     Alcotest.test_case "elements" `Quick test_elements;
@@ -164,4 +381,7 @@ let suite =
     QCheck_alcotest.to_alcotest topo_respects_order;
     QCheck_alcotest.to_alcotest down_set_is_leq;
     QCheck_alcotest.to_alcotest leq_transitive;
+    QCheck_alcotest.to_alcotest matches_naive_reference;
+    Alcotest.test_case "topo_sort checks + growth" `Quick
+      topo_sort_rejects_duplicates;
   ]

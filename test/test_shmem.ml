@@ -275,6 +275,49 @@ let test_proc_equal_state () =
   let p' = p.Proc.advance Step.Ack in
   Alcotest.(check bool) "advanced differs" false (Proc.equal_state p p')
 
+(* Execution.fingerprint writes step text straight into its buffer; it
+   must hash exactly the Step.to_string bytes it always hashed, since
+   stored certificate records carry the digest. *)
+let gen_step =
+  QCheck.Gen.(
+    let v = int_range (-1000) 100_000 and r = int_range 0 40 in
+    let action =
+      frequency
+        [
+          (3, map (fun r -> Step.Read r) r);
+          (3, map2 (fun r v -> Step.Write (r, v)) r v);
+          ( 2,
+            map2
+              (fun r op -> Step.Rmw (r, op))
+              r
+              (oneof
+                 [
+                   return Step.Test_and_set;
+                   map (fun k -> Step.Fetch_add k) v;
+                   map (fun k -> Step.Swap k) v;
+                   map2 (fun expect replace -> Step.Cas { expect; replace }) v v;
+                 ]) );
+          ( 2,
+            map
+              (fun c -> Step.Crit c)
+              (oneofl [ Step.Try; Step.Enter; Step.Exit; Step.Rem ]) );
+        ]
+    in
+    map2 Step.step (int_range 0 12) action)
+
+let fingerprint_matches_step_strings =
+  QCheck.Test.make ~name:"fingerprint = digest of Step.to_string" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat ";" (List.map Step.to_string l))
+       QCheck.Gen.(list_size (int_range 0 60) gen_step))
+    (fun steps ->
+      let reference =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "" (List.map (fun s -> Step.to_string s ^ ";") steps)))
+      in
+      Execution.fingerprint (Execution.of_steps steps) = reference)
+
 let suite =
   [
     Alcotest.test_case "step predicates" `Quick test_step_predicates;
@@ -298,4 +341,5 @@ let suite =
     Alcotest.test_case "runner deadline" `Quick test_runner_deadline;
     Alcotest.test_case "algorithm helpers" `Quick test_algorithm_helpers;
     Alcotest.test_case "proc equal state" `Quick test_proc_equal_state;
+    QCheck_alcotest.to_alcotest fingerprint_matches_step_strings;
   ]
