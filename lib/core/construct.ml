@@ -26,11 +26,12 @@ type t = {
   write_chain : (Step.reg, Metastep.id array) Hashtbl.t;
 }
 
-(* Mutable state shared by all stages. *)
+(* Mutable state shared by all stages. After stage k it depends only on
+   the first k entries of pi, so permutations sharing that prefix can
+   share (copies of) the builder; [generate] takes the pi it extends. *)
 type builder = {
   algo_ : Algorithm.t;
   n_ : int;
-  pi_ : Permutation.t;
   arena_ : Metastep.arena;
   order_ : Poset.t;
   chains : (Step.reg, Metastep.id Vec.t) Hashtbl.t;  (* write metasteps per reg *)
@@ -38,14 +39,55 @@ type builder = {
   proc_meta_ : Metastep.id Vec.t array;
 }
 
+let new_builder algo ~n =
+  {
+    algo_ = algo;
+    n_ = n;
+    arena_ = Metastep.create_arena ();
+    order_ = Poset.create ();
+    chains = Hashtbl.create 64;
+    reads_on = Hashtbl.create 64;
+    proc_meta_ = Array.init n (fun _ -> Vec.create ());
+  }
+
+(* Hashtbl.copy keeps the bucket layout, so the copy iterates in the
+   same order as the original would: write_chain, built by iterating
+   [chains], comes out the same as on an uncopied builder. *)
+let copy_vecs tbl =
+  let tbl = Hashtbl.copy tbl in
+  Hashtbl.filter_map_inplace (fun _ v -> Some (Vec.copy v)) tbl;
+  tbl
+
+let copy_builder b =
+  {
+    b with
+    arena_ = Metastep.copy_arena b.arena_;
+    order_ = Poset.copy b.order_;
+    chains = copy_vecs b.chains;
+    reads_on = copy_vecs b.reads_on;
+    proc_meta_ = Array.map Vec.copy b.proc_meta_;
+  }
+
 (* Per-stage state: the incremental prefix linearization Plin(M, ⪯, m').
    The executed set is always exactly the down-set of m', so the paper's
    "µ ⋠ m'" is "not executed". *)
 type stage_state = {
   sys : System.t;
-  executed : (Metastep.id, unit) Hashtbl.t;
+  mutable executed : Bytes.t;  (* '\001' at executed metastep ids *)
   mutable m' : Metastep.id;
 }
+
+let is_executed st id =
+  id < Bytes.length st.executed && Bytes.unsafe_get st.executed id <> '\000'
+
+let mark_executed st id =
+  let len = Bytes.length st.executed in
+  if id >= len then begin
+    let b = Bytes.make (max (id + 1) (2 * len)) '\000' in
+    Bytes.blit st.executed 0 b 0 len;
+    st.executed <- b
+  end;
+  Bytes.unsafe_set st.executed id '\001'
 
 let vec_of tbl key =
   match Hashtbl.find_opt tbl key with
@@ -59,7 +101,7 @@ let vec_of tbl key =
    deterministic topological order; this extends Plin after m' advanced. *)
 let extend b st m =
   let fresh =
-    Poset.down_set_stopping b.order_ m ~stop:(Hashtbl.mem st.executed)
+    Poset.down_set_stopping b.order_ m ~stop:(is_executed st)
   in
   match fresh with
   | [] -> ()
@@ -67,7 +109,7 @@ let extend b st m =
     let ordered = Poset.topo_sort b.order_ fresh in
     List.iter
       (fun id ->
-        Hashtbl.replace st.executed id ();
+        mark_executed st id;
         List.iter
           (fun step -> ignore (System.apply st.sys step))
           (Metastep.seq (Metastep.get b.arena_ id)))
@@ -81,48 +123,42 @@ let advance_onto b st ~who mid =
   st.m' <- mid;
   extend b st mid
 
-(* The first write metastep on [reg] not yet executed, if any. The chain is
-   ⪯-totally ordered (Lemma 5.3), so this is the paper's min_⪯. *)
-let first_unexecuted_write b st reg =
+(* The first write metastep on [reg] not yet executed that satisfies
+   [p], if any. The chain is ⪯-totally ordered (Lemma 5.3), so with
+   [p] always true this is the paper's min_⪯. *)
+let first_unexecuted_write ?(p = fun _ -> true) b st reg =
   let chain = vec_of b.chains reg in
   let rec go i =
     if i >= Vec.length chain then None
     else begin
       let id = Vec.get chain i in
-      if Hashtbl.mem st.executed id then go (i + 1) else Some id
+      if is_executed st id || not (p id) then go (i + 1) else Some id
     end
   in
   go 0
 
-(* All unexecuted write metasteps on [reg], in ⪯ order. *)
-let unexecuted_writes b st reg =
-  Vec.to_list
-    (Vec.filter
-       (fun id -> not (Hashtbl.mem st.executed id))
-       (vec_of b.chains reg))
-
 let unexecuted_reads b st reg =
   Vec.to_list
     (Vec.filter
-       (fun id -> not (Hashtbl.mem st.executed id))
+       (fun id -> not (is_executed st id))
        (vec_of b.reads_on reg))
 
 let stage_fuel = 1_000_000
 
 (* One stage of Construct (the paper's Generate): insert all steps of the
    stage's process until it completes its exit section. *)
-let generate b ~stage =
-  let j = Permutation.process_at b.pi_ stage in
+let generate b pi ~stage =
+  let j = Permutation.process_at pi stage in
   let st =
     {
       sys = System.init b.algo_ ~n:b.n_;
-      executed = Hashtbl.create 256;
+      executed = Bytes.make (Metastep.count b.arena_ + 64) '\000';
       m' = -1;
     }
   in
   let stuck detail =
     raise
-      (Stage_stuck { algo = b.algo_.Algorithm.name; pi = b.pi_; stage; detail })
+      (Stage_stuck { algo = b.algo_.Algorithm.name; pi; stage; detail })
   in
   (* line 8: the initial try metastep *)
   let m_try = Metastep.new_crit b.arena_ ~crit:(Step.step j (Step.Crit Step.Try)) in
@@ -183,7 +219,7 @@ let generate b ~stage =
       let wakes id =
         System.peek_after_read st.sys j (Metastep.value (Metastep.get b.arena_ id))
       in
-      match List.find_opt wakes (unexecuted_writes b st l) with
+      match first_unexecuted_write ~p:wakes b st l with
       | Some msw ->
         Metastep.add_read_step (Metastep.get b.arena_ msw) step;
         advance_onto b st ~who:j msw
@@ -201,41 +237,70 @@ let generate b ~stage =
         advance_onto b st ~who:j m.Metastep.id)
   done
 
-let run_stages algo ~n ~stages pi =
+let validate algo ~n pi =
   if Permutation.n pi <> n then invalid_arg "Construct.run: |pi| <> n";
-  if stages < 0 || stages > n then invalid_arg "Construct.run_stages: stages";
   if not (Algorithm.supports algo n) then
     invalid_arg "Construct.run: n unsupported by algorithm";
   if not (Algorithm.registers_only algo) then
     raise
       (Unsupported_primitive
-         { algo = algo.Algorithm.name; who = -1; action = Step.Rmw (0, Step.Test_and_set) });
-  let b =
-    {
-      algo_ = algo;
-      n_ = n;
-      pi_ = pi;
-      arena_ = Metastep.create_arena ();
-      order_ = Poset.create ();
-      chains = Hashtbl.create 64;
-      reads_on = Hashtbl.create 64;
-      proc_meta_ = Array.init n (fun _ -> Vec.create ());
-    }
-  in
-  for stage = 0 to stages - 1 do
-    generate b ~stage
-  done;
+         { algo = algo.Algorithm.name; who = -1; action = Step.Rmw (0, Step.Test_and_set) })
+
+let finish b pi =
   let write_chain = Hashtbl.create (Hashtbl.length b.chains) in
   Hashtbl.iter (fun reg v -> Hashtbl.replace write_chain reg (Vec.to_array v)) b.chains;
   {
-    algo;
-    n;
+    algo = b.algo_;
+    n = b.n_;
     pi;
     arena = b.arena_;
     order = b.order_;
     proc_meta = Array.map Vec.to_array b.proc_meta_;
     write_chain;
   }
+
+let run_stages algo ~n ~stages pi =
+  if Permutation.n pi <> n then invalid_arg "Construct.run: |pi| <> n";
+  if stages < 0 || stages > n then invalid_arg "Construct.run_stages: stages";
+  validate algo ~n pi;
+  let b = new_builder algo ~n in
+  for stage = 0 to stages - 1 do
+    generate b pi ~stage
+  done;
+  finish b pi
+
+(* Walk the trie of the family: [order] holds the indices of [pis]
+   sorted by pi, and [order.(lo .. hi-1)] share their first [depth]
+   entries, which [b] has built. Each trie node runs [generate] once;
+   every child but the last extends a copy of [b], the last extends [b]
+   itself, so a family costs about one copy per pi. *)
+let run_family algo ~n pis f =
+  let pis = Array.of_list pis in
+  Array.iter (validate algo ~n) pis;
+  let order = Array.init (Array.length pis) Fun.id in
+  Array.stable_sort (fun i j -> compare pis.(i) pis.(j)) order;
+  let entry k depth = Permutation.process_at pis.(order.(k)) depth in
+  let rec walk b ~depth lo hi =
+    if depth = n then
+      for k = lo to hi - 1 do
+        f order.(k) (finish b pis.(order.(k)))
+      done
+    else begin
+      let rec children lo =
+        if lo < hi then begin
+          let p = entry lo depth in
+          let rec group_end k = if k < hi && entry k depth = p then group_end (k + 1) else k in
+          let next = group_end (lo + 1) in
+          let b = if next < hi then copy_builder b else b in
+          generate b pis.(order.(lo)) ~stage:depth;
+          walk b ~depth:(depth + 1) lo next;
+          children next
+        end
+      in
+      children lo
+    end
+  in
+  if Array.length pis > 0 then walk (new_builder algo ~n) ~depth:0 0 (Array.length pis)
 
 let metasteps_of t i = t.proc_meta.(i)
 

@@ -72,6 +72,30 @@ val run_stages :
     later stages: for [i <= j <= k],
     [Lin(M_j)|pi_i = Lin(M_k)|pi_i]. *)
 
+val run_family :
+  Lb_shmem.Algorithm.t -> n:int -> Permutation.t list -> (int -> t -> unit) -> unit
+(** [run_family algo ~n pis f] calls [f i (run algo ~n pi_i)] for every
+    index [i] of [pis], building each construction only once per shared
+    prefix. After stage [k] the construction depends only on the first
+    [k] entries of [pi] (stage [k] adds only process [pi_k+1]), so the
+    family is walked as a trie: the indices are stably sorted by [pi]
+    (lexicographically), stage [k] runs once per distinct [k+1]-prefix,
+    and at a node with several children every child but the last
+    extends a deep copy of the node's state ({!Poset.copy},
+    {!Metastep.copy_arena}, the write and read chains, the per-process
+    chains) while the last extends the state itself — about one copy
+    per [pi]. The construction passed to [f] equals [run algo ~n pi]
+    field for field (the test suite checks proc_meta, write_chain, every
+    element's preds and succs, and every metastep).
+
+    [f] is called in trie order, not input order: for distinct [pi]
+    in lexicographic order, for duplicates in input order. The same
+    checks as {!run} are made for every [pi] before any stage runs.
+    A {!Stage_stuck} raised by a shared stage names one [pi] of the
+    group sharing it, not necessarily the first in input order;
+    {!Pipeline.certify} re-runs a failing family per [pi] so its
+    errors match {!run}'s. *)
+
 val metasteps_of : t -> int -> Metastep.id array
 (** Chain of metasteps containing the given process. *)
 

@@ -39,6 +39,7 @@ type reg_state = {
   mutable r_set : Iset.t;  (** admitted readers *)
   mutable parked : Iset.t;  (** readers awaiting a signature / admission *)
   mutable pr_count : int;  (** executed prereads since the last firing *)
+  mutable dirty : bool;  (** touched in the current round *)
 }
 
 type st = {
@@ -51,20 +52,31 @@ type st = {
   waiting : bool array;
   done_ : bool array;
   regs : (Step.reg, reg_state) Hashtbl.t;
+  mutable touched : (Step.reg * reg_state) list;
+      (** the registers touched in the current round, each once *)
   trace : event -> unit;
   mutable consumed : int;
 }
 
+(* Only a touched register can become ready to fire: its counts and
+   signature change only through this lookup. *)
 let reg_state st r =
-  match Hashtbl.find_opt st.regs r with
-  | Some x -> x
-  | None ->
-    let x =
-      { sig_ = None; w_set = Iset.empty; r_set = Iset.empty;
-        parked = Iset.empty; pr_count = 0 }
-    in
-    Hashtbl.replace st.regs r x;
-    x
+  let x =
+    match Hashtbl.find_opt st.regs r with
+    | Some x -> x
+    | None ->
+      let x =
+        { sig_ = None; w_set = Iset.empty; r_set = Iset.empty;
+          parked = Iset.empty; pr_count = 0; dirty = false }
+      in
+      Hashtbl.replace st.regs r x;
+      x
+  in
+  if not x.dirty then begin
+    x.dirty <- true;
+    st.touched <- (r, x) :: st.touched
+  end;
+  x
 
 let fail st detail = raise (Decode_error { detail; consumed = st.consumed })
 
@@ -169,33 +181,53 @@ let consume_cell st i =
     true
   end
 
-(* Fire the front write metastep of [r] if its signature counts are all
-   matched: writes (winner last), then admitted reads (Fig. 3 lines
-   38-45). *)
-let try_fire st r =
-  let rs = reg_state st r in
+(* The front write metastep of a register is complete when its
+   signature counts are all matched. *)
+let ready rs =
   match rs.sig_ with
   | None -> false
-  | Some { winner; s } ->
-    if
-      Iset.cardinal rs.r_set = s.Signature.reads
-      && Iset.cardinal rs.w_set = s.Signature.writes
-      && rs.pr_count = s.Signature.prereads
-    then begin
-      let losers = Iset.elements (Iset.remove winner rs.w_set) in
-      let steps = List.length losers + 1 + Iset.cardinal rs.r_set in
-      List.iter (fun i -> exec_step st i) losers;
-      exec_step st winner;
-      List.iter (fun i -> exec_step st i) (Iset.elements rs.r_set);
-      st.trace (Fired { reg = r; winner; steps });
-      Iset.iter (fun i -> st.waiting.(i) <- false) (Iset.union rs.w_set rs.r_set);
-      rs.sig_ <- None;
-      rs.w_set <- Iset.empty;
-      rs.r_set <- Iset.empty;
-      rs.pr_count <- 0;
-      true
-    end
-    else false
+  | Some { s; _ } ->
+    Iset.cardinal rs.r_set = s.Signature.reads
+    && Iset.cardinal rs.w_set = s.Signature.writes
+    && rs.pr_count = s.Signature.prereads
+
+(* Fire a ready register: writes (winner last), then admitted reads
+   (Fig. 3 lines 38-45). Changes only [rs], [waiting], [sys] and
+   [exec], so it never makes another register ready or unready. *)
+let fire st r rs =
+  match rs.sig_ with
+  | None -> ()
+  | Some { winner; _ } ->
+    let losers = Iset.elements (Iset.remove winner rs.w_set) in
+    let steps = List.length losers + 1 + Iset.cardinal rs.r_set in
+    List.iter (fun i -> exec_step st i) losers;
+    exec_step st winner;
+    List.iter (fun i -> exec_step st i) (Iset.elements rs.r_set);
+    st.trace (Fired { reg = r; winner; steps });
+    Iset.iter (fun i -> st.waiting.(i) <- false) (Iset.union rs.w_set rs.r_set);
+    rs.sig_ <- None;
+    rs.w_set <- Iset.empty;
+    rs.r_set <- Iset.empty;
+    rs.pr_count <- 0
+
+(* Fire every register ready after this round's cells. A register not
+   touched this round was not ready after the last round's firing and
+   has not changed since, so only the touched ones are tested. Several
+   ready registers fire in [Hashtbl.iter] order over all registers, the
+   order of a full scan; firing one changes no other's readiness, so a
+   single pass fires them all. *)
+let fire_touched st =
+  let ready_now = List.filter (fun (_, rs) -> ready rs) st.touched in
+  List.iter (fun (_, rs) -> rs.dirty <- false) st.touched;
+  st.touched <- [];
+  match ready_now with
+  | [] -> false
+  | [ (r, rs) ] ->
+    fire st r rs;
+    true
+  | _ ->
+    Hashtbl.iter (fun r rs -> if ready rs then fire st r rs) st.regs;
+    true
 
 let run ?(trace = fun _ -> ()) ?scan_order algo ~n cells =
   if Array.length cells <> n then invalid_arg "Decode.run: bad cell table";
@@ -217,6 +249,7 @@ let run ?(trace = fun _ -> ()) ?scan_order algo ~n cells =
       waiting = Array.make n false;
       done_ = Array.make n false;
       regs = Hashtbl.create 64;
+      touched = [];
       trace;
       consumed = 0;
     }
@@ -233,15 +266,7 @@ let run ?(trace = fun _ -> ()) ?scan_order algo ~n cells =
         if (not st.done_.(i)) && not st.waiting.(i) then
           if consume_cell st i then progress := true)
       scan;
-    (* fire every register whose front metastep is complete *)
-    let fired = ref true in
-    while !fired do
-      fired := false;
-      Hashtbl.iter
-        (fun r _ -> if try_fire st r then fired := true)
-        st.regs;
-      if !fired then progress := true
-    done;
+    if fire_touched st then progress := true;
     if not !progress then
       fail st
         (Printf.sprintf "no progress (waiting=%s)"

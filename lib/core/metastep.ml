@@ -19,6 +19,7 @@ type t = {
 type arena = t Vec.t
 
 let create_arena () : arena = Vec.create ()
+let copy_arena (a : arena) : arena = Vec.map (fun m -> { m with id = m.id }) a
 let count (a : arena) = Vec.length a
 let get (a : arena) id = Vec.get a id
 let iter (a : arena) f = Vec.iter f a

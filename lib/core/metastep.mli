@@ -33,6 +33,10 @@ type arena
 
 val create_arena : unit -> arena
 
+val copy_arena : arena -> arena
+(** An independent copy with a fresh record per metastep, so the mutable
+    fields of one arena's metasteps never change the other's. *)
+
 val count : arena -> int
 
 val get : arena -> id -> t

@@ -23,9 +23,8 @@ let require_registers_only ~what (algo : Algorithm.t) =
           (kind-honesty/undeclared-rmw is the matching `mutexlb lint` rule)"
          what algo.Algorithm.name)
 
-let run algo ~n pi =
-  require_registers_only ~what:"Pipeline.run" algo;
-  let construction = Construct.run algo ~n pi in
+(* Everything of [run] after the construction. *)
+let complete algo ~n pi construction =
   let encoding = Encode.encode construction in
   let canonical = Linearize.execution construction in
   let decoded = Decode.run_bits algo ~n encoding.Encode.bits in
@@ -38,6 +37,10 @@ let run algo ~n pi =
     cost = Lb_cost.State_change.cost algo ~n canonical;
     bits = Encode.length_bits encoding;
   }
+
+let run algo ~n pi =
+  require_registers_only ~what:"Pipeline.run" algo;
+  complete algo ~n pi (Construct.run algo ~n pi)
 
 exception
   Check_failed of {
@@ -117,13 +120,14 @@ let check algo ~n r =
   | Ok () -> Ok ()
   | Error (stage, message) -> Error (stage ^ ": " ^ message)
 
-let run_checked algo ~n pi =
-  let r = run algo ~n pi in
+let checked algo ~n r =
   match check_staged algo ~n r with
   | Ok () -> r
   | Error (stage, message) ->
     raise
-      (Check_failed { algo = algo.Algorithm.name; n; pi; stage; message })
+      (Check_failed { algo = algo.Algorithm.name; n; pi = r.pi; stage; message })
+
+let run_checked algo ~n pi = checked algo ~n (run algo ~n pi)
 
 type record = {
   r_pi : Permutation.t;
@@ -175,20 +179,80 @@ let certificate_of_records (algo : Algorithm.t) ~n ~exhaustive records =
     distinct;
   }
 
+(* Cut the family, sorted by pi, into its groups of equal [depth]-prefix
+   for the shortest depth giving at least [want] groups (all of depth
+   n if none does). [order] holds the indices of [pis] in sorted order. *)
+let prefix_groups ~n ~want pis order =
+  let m = Array.length order in
+  (* lcp.(k): common prefix length of the k-1-th and k-th sorted pi *)
+  let lcp =
+    Array.init m (fun k ->
+        if k = 0 then 0
+        else begin
+          let a = pis.(order.(k - 1)) and b = pis.(order.(k)) in
+          let rec go d =
+            if d < n && Permutation.process_at a d = Permutation.process_at b d
+            then go (d + 1)
+            else d
+          in
+          go 0
+        end)
+  in
+  let groups d = Array.fold_left (fun g l -> if l < d then g + 1 else g) 0 lcp in
+  let rec depth d = if d >= n || groups d >= want then d else depth (d + 1) in
+  let d = depth 0 in
+  let cuts = ref [] and start = ref 0 in
+  for k = 1 to m - 1 do
+    if lcp.(k) < d then begin
+      cuts := Array.sub order !start (k - !start) :: !cuts;
+      start := k
+    end
+  done;
+  List.rev (Array.sub order !start (m - !start) :: !cuts)
+
+(* The trie path: each group of pi sharing a prefix is built by one
+   Construct.run_family, and each leaf runs the rest of the checked
+   pipeline before the walk moves on. *)
+let trie_records algo ~n ~jobs pis =
+  let group idx =
+    let out = ref [] in
+    Construct.run_family algo ~n
+      (Array.to_list (Array.map (fun i -> pis.(i)) idx))
+      (fun k c ->
+        let r = checked algo ~n (complete algo ~n c.Construct.pi c) in
+        out := (idx.(k), record_of_result r) :: !out);
+    !out
+  in
+  let all = Array.init (Array.length pis) Fun.id in
+  let groups =
+    if jobs = 1 || Lb_util.Pool.in_worker () then [ all ]
+    else begin
+      let order = Array.copy all in
+      Array.stable_sort (fun i j -> compare pis.(i) pis.(j)) order;
+      prefix_groups ~n ~want:(4 * jobs) pis order
+    end
+  in
+  let out = Array.make (Array.length pis) None in
+  List.iter
+    (List.iter (fun (i, r) -> out.(i) <- Some r))
+    (Lb_util.Pool.map ~jobs group groups);
+  Array.to_list (Array.map Option.get out)
+
+let records algo ~n ~perms ?jobs () =
+  require_registers_only ~what:"Pipeline.records" algo;
+  let jobs = match jobs with Some j -> j | None -> Lb_util.Pool.default_jobs () in
+  (* A failure anywhere re-runs the family per pi through Pool.map, so
+     the exception raised (and the pi and stage it names) is the one the
+     per-pi sweep raises: the walk meets failures in trie order, and a
+     shared stage names the smallest pi of its group. *)
+  try trie_records algo ~n ~jobs (Array.of_list perms) with
+  | Lb_util.Pool.Cancelled as e -> raise e
+  | _ ->
+    Lb_util.Pool.map ~jobs
+      (fun pi -> record_of_result (run_checked algo ~n pi))
+      perms
+
 let certify algo ~n ~perms ?(exhaustive = false) ?jobs () =
   if perms = [] then invalid_arg "Pipeline.certify: empty permutation family";
   require_registers_only ~what:"Pipeline.certify" algo;
-  (* Each run_checked allocates its own construction arena, encoder
-     state and decoder state, and the library keeps no module-level
-     mutable state, so the per-pi runs are independent and can fan out
-     across domains. Pool.map collects in input order, so the
-     certificate is bit-for-bit identical at every job count — and the
-     durable sweep engine (Lb_store.Sweep), which aggregates the same
-     records through certificate_of_records, reproduces it exactly from
-     cached entries. *)
-  let records =
-    Lb_util.Pool.map ?jobs
-      (fun pi -> record_of_result (run_checked algo ~n pi))
-      perms
-  in
-  certificate_of_records algo ~n ~exhaustive records
+  certificate_of_records algo ~n ~exhaustive (records algo ~n ~perms ?jobs ())

@@ -78,9 +78,35 @@ val certificate_of_records :
   record list ->
   Bounds.certificate
 (** Aggregate a certificate from records in family order. {!certify} is
-    exactly [map run_checked] + this, so any source of the same records
+    exactly {!records} + this, so any source of the same records
     — a fresh sweep, a warm store, or a mix — yields a byte-identical
     certificate. Raises [Invalid_argument] on the empty list. *)
+
+val records :
+  Lb_shmem.Algorithm.t ->
+  n:int ->
+  perms:Permutation.t list ->
+  ?jobs:int ->
+  unit ->
+  record list
+(** [List.map (fun pi -> record_of_result (run_checked algo ~n pi)) perms],
+    computed in trie order: constructions come from
+    {!Construct.run_family}, so each prefix shared by several [pi] is
+    built once, and every leaf runs encode, linearize, decode, cost and
+    the checks of {!check} before the walk moves on. Records are
+    returned in input order (duplicates included) at every job count.
+
+    With [jobs > 1] the family, sorted by [pi], is cut at the shortest
+    prefix depth giving at least [4 * jobs] groups; the groups fan out
+    over {!Lb_util.Pool.map} and each builds its own prefix. The records
+    do not depend on the cut, so the output is the same for every
+    [jobs]. [jobs] defaults to {!Lb_util.Pool.default_jobs}.
+
+    If the trie path raises anything but {!Lb_util.Pool.Cancelled}, the
+    family is re-run per [pi] through [Pool.map run_checked], so the
+    exception raised — and the [pi] and stage it names — is exactly the
+    per-[pi] sweep's. Raises [Invalid_argument] for a [Uses_rmw]
+    algorithm; an empty [perms] gives []. *)
 
 val certify :
   Lb_shmem.Algorithm.t ->
@@ -90,15 +116,16 @@ val certify :
   ?jobs:int ->
   unit ->
   Bounds.certificate
-(** Run the checked pipeline for every permutation and aggregate the
-    certificate. [distinct] is established by fingerprinting every decoded
-    execution.
+(** [certificate_of_records algo ~n ~exhaustive (records algo ~n ~perms
+    ?jobs ())]: run the checked pipeline for every permutation, in trie
+    order, and aggregate the certificate. [distinct] is established by
+    fingerprinting every decoded execution.
 
-    The per-permutation runs are independent (each allocates a private
-    metastep arena; the library holds no global mutable state) and fan
-    out across [jobs] worker domains via {!Lb_util.Pool.map}, which
-    collects results in input order — the certificate is identical for
-    every job count. [jobs] defaults to {!Lb_util.Pool.default_jobs}.
-    Raises [Invalid_argument] on an empty [perms] (an empty family has
-    no well-defined certificate: its mean cost is 0/0 and its
-    information bound is [log2 0]). *)
+    The records, and so the certificate, are identical for every job
+    count, and equal to those of the per-[pi] [map run_checked] — which
+    is what the durable sweep engine ([Lb_store.Sweep]) computes, so a
+    certificate rebuilt from cached entries is byte-identical. Errors
+    are those of the per-[pi] sweep (see {!records}). Raises
+    [Invalid_argument] on an empty [perms] (an empty family has no
+    well-defined certificate: its mean cost is 0/0 and its information
+    bound is [log2 0]). *)

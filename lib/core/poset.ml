@@ -33,6 +33,20 @@ let create () =
     indeg = Array.make initial_capacity 0;
   }
 
+(* Every array is copied, scratch included: the copy and the original
+   may then be queried and grown independently. *)
+let copy t =
+  {
+    order = Vec.copy t.order;
+    present = Bytes.copy t.present;
+    preds = Array.copy t.preds;
+    succs = Array.copy t.succs;
+    stamp = Array.copy t.stamp;
+    gen = t.gen;
+    queue = Array.copy t.queue;
+    indeg = Array.copy t.indeg;
+  }
+
 let capacity t = Bytes.length t.present
 
 let grow t id =
@@ -185,44 +199,73 @@ let extremes_among t next xs =
 let maximal_among t xs = extremes_among t t.preds xs
 let minimal_among t xs = extremes_among t t.succs xs
 
+(* Kahn's algorithm with the ready elements in a binary min-heap kept in
+   the [queue] scratch array (each element enters it at most once), so
+   the smallest ready id always comes out first. *)
 let topo_sort t xs =
   let bad () =
     invalid_arg "Poset.topo_sort: input not acyclic or contains duplicates"
   in
   List.iter (check t) xs;
-  let g = next_gen t in
-  let stamp = t.stamp and indeg = t.indeg in
-  List.iter (fun x -> if stamp.(x) = g then bad () else stamp.(x) <- g) xs;
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
-  List.iter
-    (fun x ->
-      let d =
-        List.fold_left
-          (fun d p -> if stamp.(p) = g then d + 1 else d)
-          0 t.preds.(x)
-      in
-      indeg.(x) <- d;
-      if d = 0 then ready := Iset.add x !ready)
-    xs;
-  let out = ref [] in
-  let count = ref 0 in
-  while not (Iset.is_empty !ready) do
-    let x = Iset.min_elt !ready in
-    ready := Iset.remove x !ready;
-    out := x :: !out;
-    incr count;
+  match xs with
+  | [ _ ] -> xs (* the common case in Construct: one newly reachable element *)
+  | _ ->
+    let g = next_gen t in
+    let stamp = t.stamp and indeg = t.indeg and heap = t.queue in
+    List.iter (fun x -> if stamp.(x) = g then bad () else stamp.(x) <- g) xs;
+    let size = ref 0 in
+    let push x =
+      let i = ref !size in
+      incr size;
+      while !i > 0 && heap.((!i - 1) / 2) > x do
+        heap.(!i) <- heap.((!i - 1) / 2);
+        i := (!i - 1) / 2
+      done;
+      heap.(!i) <- x
+    in
+    let pop () =
+      let top = heap.(0) in
+      decr size;
+      let x = heap.(!size) and i = ref 0 and placed = ref false in
+      while not !placed do
+        let l = (2 * !i) + 1 in
+        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if c < !size && heap.(c) < x then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else placed := true
+      done;
+      heap.(!i) <- x;
+      top
+    in
     List.iter
-      (fun y ->
-        if stamp.(y) = g then begin
-          let d = indeg.(y) - 1 in
-          indeg.(y) <- d;
-          if d = 0 then ready := Iset.add y !ready
-        end)
-      t.succs.(x)
-  done;
-  if !count <> List.length xs then bad ();
-  List.rev !out
+      (fun x ->
+        let d =
+          List.fold_left
+            (fun d p -> if stamp.(p) = g then d + 1 else d)
+            0 t.preds.(x)
+        in
+        indeg.(x) <- d;
+        if d = 0 then push x)
+      xs;
+    let out = ref [] in
+    let count = ref 0 in
+    while !size > 0 do
+      let x = pop () in
+      out := x :: !out;
+      incr count;
+      List.iter
+        (fun y ->
+          if stamp.(y) = g then begin
+            let d = indeg.(y) - 1 in
+            indeg.(y) <- d;
+            if d = 0 then push y
+          end)
+        t.succs.(x)
+    done;
+    if !count <> List.length xs then bad ();
+    List.rev !out
 
 let is_chain t xs =
   List.for_all

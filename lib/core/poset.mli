@@ -14,6 +14,11 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent deep copy: later changes to either poset do not show
+    in the other. Lets the construction share a prefix's order between
+    permutations that extend it. *)
+
 val add_element : t -> int -> unit
 (** Register a new element id. Ids must be registered before use; raises
     [Invalid_argument] on duplicates and negative ids. *)

@@ -57,12 +57,7 @@ let certify_sweep (algo : Lb_shmem.Algorithm.t) ~n ~perms ~exhaustive =
 
 let records_for (algo : Lb_shmem.Algorithm.t) ~n perms =
   match !store_ref with
-  | None ->
-    map_perms
-      (fun pi ->
-        Lb_core.Pipeline.record_of_result
-          (Lb_core.Pipeline.run_checked algo ~n pi))
-      perms
+  | None -> Lb_core.Pipeline.records algo ~n ~perms ()
   | Some store ->
     let report = Lb_store.Sweep.sweep ~store ~resume:!resume_ref algo ~n ~perms () in
     (match report.Lb_store.Sweep.failures with

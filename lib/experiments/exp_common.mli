@@ -57,7 +57,8 @@ val records_for :
   Lb_core.Permutation.t list ->
   Lb_core.Pipeline.record list
 (** Per-permutation pipeline records in family order — the store-aware
-    sibling of [map_perms (record_of_result ∘ run_checked)]. With a
+    sibling of {!Lb_core.Pipeline.records}, which it calls when no store
+    is configured (trie order, so shared prefixes are built once). With a
     store and [resume], quarantined failures still abort the experiment
     (a partial sample would silently skew its statistics), but only
     after the rest of the family has been computed and persisted. *)

@@ -284,6 +284,309 @@ let test_trace_events () =
         (String.length (Format.asprintf "%a" D.pp_event ev) > 0))
     events
 
+(* ------------------------- decoder vs naive scan ------------------------ *)
+
+(* The decoder before touched-register firing: after each round it scans
+   every register seen so far, repeating until nothing fires. Kept
+   verbatim (events and errors come from Decode itself) as the reference
+   the faster decoder must reproduce step for step. *)
+module Naive = struct
+  open Lb_core
+  open Decode
+  module Iset = Set.Make (Int)
+
+  type sig_info = {
+    winner : int;
+    s : Signature.t;
+  }
+
+  type reg_state = {
+    mutable sig_ : sig_info option;
+    mutable w_set : Iset.t;  (** waiting writers (including the winner) *)
+    mutable r_set : Iset.t;  (** admitted readers *)
+    mutable parked : Iset.t;  (** readers awaiting a signature / admission *)
+    mutable pr_count : int;  (** executed prereads since the last firing *)
+  }
+
+  type st = {
+    algo : Algorithm.t;
+    n : int;
+    cells : Encode.cell array array;
+    sys : System.t;
+    exec : Execution.t;
+    pc : int array;  (** next cell index per process *)
+    waiting : bool array;
+    done_ : bool array;
+    regs : (Step.reg, reg_state) Hashtbl.t;
+    trace : event -> unit;
+    mutable consumed : int;
+  }
+
+  let reg_state st r =
+    match Hashtbl.find_opt st.regs r with
+    | Some x -> x
+    | None ->
+      let x =
+        { sig_ = None; w_set = Iset.empty; r_set = Iset.empty;
+          parked = Iset.empty; pr_count = 0 }
+      in
+      Hashtbl.replace st.regs r x;
+      x
+
+  let fail st detail = raise (Decode_error { detail; consumed = st.consumed })
+
+  let exec_step ?(notify = false) st i =
+    let action = System.pending_of st.sys i in
+    let step = Step.step i action in
+    ignore (System.apply st.sys step);
+    Execution.append st.exec step;
+    if notify then st.trace (Executed_immediately { who = i; step })
+
+  let pending_read_reg st i =
+    match System.pending_of st.sys i with
+    | Step.Read r -> r
+    | a ->
+      fail st
+        (Format.asprintf "p%d: cell expects a read but pending is %a" i
+           Step.pp_action a)
+
+  let pending_write st i =
+    match System.pending_of st.sys i with
+    | Step.Write (r, v) -> (r, v)
+    | a ->
+      fail st
+        (Format.asprintf "p%d: cell expects a write but pending is %a" i
+           Step.pp_action a)
+
+  (* Would process [i] (pending a read on the signature's register) change
+     state upon reading the value the winner is about to write? This is
+     Fig. 3 line 21, with the winner's pending step as [e_{sig.v}]. *)
+  let admits st info i =
+    let _, v = pending_write st info.winner in
+    System.peek_after_read st.sys i v
+
+  (* A signature was just installed on [r]: re-examine parked readers. *)
+  let review_parked st r =
+    let rs = reg_state st r in
+    match rs.sig_ with
+    | None -> ()
+    | Some info ->
+      Iset.iter
+        (fun i ->
+          if admits st info i then begin
+            rs.parked <- Iset.remove i rs.parked;
+            rs.r_set <- Iset.add i rs.r_set;
+            st.trace (Admitted { who = i; reg = r })
+          end)
+        rs.parked
+
+  let consume_cell st i =
+    let column = st.cells.(i) in
+    if st.pc.(i) >= Array.length column then begin
+      st.done_.(i) <- true;
+      true
+    end
+    else begin
+      let cell = column.(st.pc.(i)) in
+      st.pc.(i) <- st.pc.(i) + 1;
+      st.consumed <- st.consumed + 1;
+      st.trace (Cell_consumed { who = i; pc = st.pc.(i); cell });
+      (match cell with
+      | Encode.Cell_c -> (
+        match System.pending_of st.sys i with
+        | Step.Crit _ -> exec_step ~notify:true st i
+        | a ->
+          fail st
+            (Format.asprintf "p%d: C cell but pending is %a" i Step.pp_action a))
+      | Encode.Cell_sr ->
+        let _r = pending_read_reg st i in
+        exec_step ~notify:true st i
+      | Encode.Cell_pr ->
+        let r = pending_read_reg st i in
+        let rs = reg_state st r in
+        rs.pr_count <- rs.pr_count + 1;
+        exec_step ~notify:true st i
+      | Encode.Cell_w ->
+        let r, _ = pending_write st i in
+        let rs = reg_state st r in
+        rs.w_set <- Iset.add i rs.w_set;
+        st.waiting.(i) <- true;
+        st.trace (Waiting { who = i; reg = r })
+      | Encode.Cell_wsig s ->
+        let r, _ = pending_write st i in
+        let rs = reg_state st r in
+        (match rs.sig_ with
+        | Some _ -> fail st (Printf.sprintf "duplicate signature on r%d" r)
+        | None -> rs.sig_ <- Some { winner = i; s });
+        rs.w_set <- Iset.add i rs.w_set;
+        st.waiting.(i) <- true;
+        st.trace (Signature_installed { reg = r; winner = i; s });
+        review_parked st r
+      | Encode.Cell_r ->
+        let r = pending_read_reg st i in
+        let rs = reg_state st r in
+        st.waiting.(i) <- true;
+        (match rs.sig_ with
+        | Some info when admits st info i ->
+          rs.r_set <- Iset.add i rs.r_set;
+          st.trace (Admitted { who = i; reg = r })
+        | Some _ | None ->
+          rs.parked <- Iset.add i rs.parked;
+          st.trace (Parked { who = i; reg = r })));
+      true
+    end
+
+  (* Fire the front write metastep of [r] if its signature counts are all
+     matched: writes (winner last), then admitted reads (Fig. 3 lines
+     38-45). *)
+  let try_fire st r =
+    let rs = reg_state st r in
+    match rs.sig_ with
+    | None -> false
+    | Some { winner; s } ->
+      if
+        Iset.cardinal rs.r_set = s.Signature.reads
+        && Iset.cardinal rs.w_set = s.Signature.writes
+        && rs.pr_count = s.Signature.prereads
+      then begin
+        let losers = Iset.elements (Iset.remove winner rs.w_set) in
+        let steps = List.length losers + 1 + Iset.cardinal rs.r_set in
+        List.iter (fun i -> exec_step st i) losers;
+        exec_step st winner;
+        List.iter (fun i -> exec_step st i) (Iset.elements rs.r_set);
+        st.trace (Fired { reg = r; winner; steps });
+        Iset.iter (fun i -> st.waiting.(i) <- false) (Iset.union rs.w_set rs.r_set);
+        rs.sig_ <- None;
+        rs.w_set <- Iset.empty;
+        rs.r_set <- Iset.empty;
+        rs.pr_count <- 0;
+        true
+      end
+      else false
+
+  let run ?(trace = fun _ -> ()) ?scan_order algo ~n cells =
+    if Array.length cells <> n then invalid_arg "Decode.run: bad cell table";
+    let scan =
+      match scan_order with
+      | None -> Array.init n (fun i -> i)
+      | Some order ->
+        if Array.length order <> n then invalid_arg "Decode.run: bad scan order";
+        Array.copy order
+    in
+    let st =
+      {
+        algo;
+        n;
+        cells;
+        sys = System.init algo ~n;
+        exec = Execution.create ();
+        pc = Array.make n 0;
+        waiting = Array.make n false;
+        done_ = Array.make n false;
+        regs = Hashtbl.create 64;
+        trace;
+        consumed = 0;
+      }
+    in
+    let all_done () =
+      let rec go i = i >= n || (st.done_.(i) && go (i + 1)) in
+      go 0
+    in
+    while not (all_done ()) do
+      let progress = ref false in
+      (* consume the next cell of every non-waiting process *)
+      Array.iter
+        (fun i ->
+          if (not st.done_.(i)) && not st.waiting.(i) then
+            if consume_cell st i then progress := true)
+        scan;
+      (* fire every register whose front metastep is complete *)
+      let fired = ref true in
+      while !fired do
+        fired := false;
+        Hashtbl.iter
+          (fun r _ -> if try_fire st r then fired := true)
+          st.regs;
+        if !fired then progress := true
+      done;
+      if not !progress then
+        fail st
+          (Printf.sprintf "no progress (waiting=%s)"
+             (String.concat ","
+                (List.filteri (fun i _ -> st.waiting.(i)) (List.init n string_of_int))))
+    done;
+    (* sanity: nothing left over *)
+    Hashtbl.iter
+      (fun r rs ->
+        if rs.sig_ <> None || not (Iset.is_empty rs.w_set) then
+          fail st (Printf.sprintf "leftover metastep state on r%d" r);
+        if not (Iset.is_empty rs.parked) then
+          fail st (Printf.sprintf "parked readers left on r%d" r))
+      st.regs;
+    st.exec
+end
+
+(* A decode's observable outcome: the execution and every trace event,
+   or the error. *)
+let decode_outcome run cells =
+  let events = ref [] in
+  match run (fun ev -> events := ev :: !events) cells with
+  | exec -> Ok (Execution.steps exec, List.rev !events)
+  | exception D.Decode_error { detail; consumed } -> Error (detail, consumed)
+  | exception e -> Error (Printexc.to_string e, -1)
+
+let check_same_decode what algo ~n cells =
+  let fast = decode_outcome (fun trace -> D.run ~trace algo ~n) cells in
+  let naive = decode_outcome (fun trace -> Naive.run ~trace algo ~n) cells in
+  Alcotest.(check bool) what true (fast = naive)
+
+(* Corruptions of an encoding: every single-bit flip that still parses
+   (up to [limit] positions), and every column cut short by one cell. *)
+let corrupted ~n ~limit (e : E.t) =
+  let flips =
+    List.filter_map
+      (fun pos ->
+        let bits = Array.copy e.E.bits in
+        bits.(pos) <- not bits.(pos);
+        match E.parse ~n bits with cells -> Some cells | exception _ -> None)
+      (List.init (min limit (Array.length e.E.bits)) (fun k ->
+           k * Array.length e.E.bits / min limit (Array.length e.E.bits)))
+  in
+  let cuts =
+    List.filter_map
+      (fun i ->
+        let col = e.E.cells.(i) in
+        if Array.length col = 0 then None
+        else begin
+          let cells = Array.copy e.E.cells in
+          cells.(i) <- Array.sub col 0 (Array.length col - 1);
+          Some cells
+        end)
+      (List.init n Fun.id)
+  in
+  flips @ cuts
+
+let test_decode_matches_naive () =
+  let rng = Lb_util.Rng.create 21 in
+  List.iter
+    (fun (algo : Algorithm.t) ->
+      List.iter
+        (fun n ->
+          if Algorithm.supports algo n then
+            List.iter
+              (fun pi ->
+                let _, e = encode_of algo n pi in
+                let what =
+                  Printf.sprintf "%s n=%d pi=%s" algo.Algorithm.name n (P.to_string pi)
+                in
+                check_same_decode what algo ~n e.E.cells;
+                List.iter
+                  (check_same_decode (what ^ " corrupted") algo ~n)
+                  (corrupted ~n ~limit:24 e))
+              (P.identity n :: P.reverse n :: List.init 2 (fun _ -> P.random rng n)))
+        [ 2; 3; 5 ])
+    Lb_algos.Registry.register_based
+
 let suite =
   [
     QCheck_alcotest.to_alcotest bit_flip_robustness;
@@ -307,4 +610,6 @@ let suite =
     Alcotest.test_case "decode is valid execution" `Quick test_decode_valid_execution;
     Alcotest.test_case "decode rejects truncated" `Quick test_decode_rejects_truncated;
     Alcotest.test_case "decode rejects wrong algorithm" `Quick test_decode_rejects_wrong_algo;
+    Alcotest.test_case "decode = naive scan (zoo, corrupted)" `Quick
+      test_decode_matches_naive;
   ]

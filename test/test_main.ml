@@ -23,6 +23,7 @@ let () =
       ("lemmas", Test_lemmas.suite);
       ("encode+decode", Test_encode_decode.suite);
       ("pipeline", Test_pipeline.suite);
+      ("trie", Test_trie.suite);
       ("visibility", Test_visibility.suite);
       ("trace_io", Test_trace_io.suite);
       ("workload+adversary", Test_workload_adversary.suite);
