@@ -30,9 +30,6 @@ val format_version : int
 val default_passes : Pass.t list
 (** repr-soundness, register-discipline, kind-honesty, liveness-shape. *)
 
-val pass_ids : unit -> string list
-(** Names of the default passes (the rule-id prefixes), in pass order. *)
-
 val passes_for : string list -> (Pass.t list, string) result
 (** Resolve rule-family names (e.g. from [lint --rules]) to passes, in
     canonical {!default_passes} order, duplicates dropped; an unknown

@@ -74,22 +74,7 @@ let pp_witness ppf (w : witness) =
 
 (* ------------------------------ JSON ------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str = Lb_util.Json.escape
 
 let witness_to_json (w : witness) =
   Printf.sprintf "{\"proc\":%d,\"steps\":[%s],\"target\":%s}" w.proc

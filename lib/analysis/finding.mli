@@ -10,12 +10,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_name : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
-val severity_rank : severity -> int
-(** [0] for [Error] (most severe) up to [2] for [Info] — sort key. *)
-
 type witness_step = {
   repr : string;  (** local state the automaton was in *)
   action : string;  (** its pending action, rendered with register names *)

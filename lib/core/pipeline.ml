@@ -23,24 +23,28 @@ let require_registers_only ~what (algo : Algorithm.t) =
           (kind-honesty/undeclared-rmw is the matching `mutexlb lint` rule)"
          what algo.Algorithm.name)
 
-(* Everything of [run] after the construction. *)
+(* Everything of [run] after the construction, and the canonical
+   execution's replay, which gives the cost here and the canonical
+   checks in [check_staged]. *)
 let complete algo ~n pi construction =
   let encoding = Encode.encode construction in
   let canonical = Linearize.execution construction in
   let decoded = Decode.run_bits algo ~n encoding.Encode.bits in
-  {
-    pi;
-    construction;
-    encoding;
-    canonical;
-    decoded;
-    cost = Lb_cost.State_change.cost algo ~n canonical;
-    bits = Encode.length_bits encoding;
-  }
+  let canon = Replay.run ~algo ~projections:true ~n canonical in
+  ( {
+      pi;
+      construction;
+      encoding;
+      canonical;
+      decoded;
+      cost = Replay.cost canon;
+      bits = Encode.length_bits encoding;
+    },
+    canon )
 
 let run algo ~n pi =
   require_registers_only ~what:"Pipeline.run" algo;
-  complete algo ~n pi (Construct.run algo ~n pi)
+  fst (complete algo ~n pi (Construct.run algo ~n pi))
 
 exception
   Check_failed of {
@@ -65,43 +69,48 @@ let ( let* ) = Result.bind
    of the construct → encode → decode chain broke, and survives into
    {!Check_failed} so sweep quarantines and CLI output can say more than
    "check failed". *)
-let check_execution algo ~n ~stage pi exec =
+let check_execution ~stage pi (replayed : Replay.t) =
   let fail fmt = Printf.ksprintf (fun m -> Error (stage, m)) fmt in
   let* () =
-    match Lb_mutex.Checker.check_algorithm algo ~n exec with
+    match Replay.verdict replayed with
     | Ok () -> Ok ()
     | Error (`Violation v) -> fail "%s" (Lb_mutex.Checker.violation_to_string v)
     | Error (`Mismatch m) -> fail "replay: %s" m
   in
   let* () =
-    let sections = Lb_mutex.Checker.completed_sections ~n exec in
-    if Array.for_all (fun c -> c = 1) sections then Ok ()
+    if Array.for_all (fun c -> c = 1) replayed.Replay.sections then Ok ()
     else fail "not every process completed once"
   in
-  let order = Execution.crit_order exec in
+  let order = replayed.Replay.order in
   if order = Array.to_list (Permutation.to_array pi) then Ok ()
   else
     fail "CS order %s differs from pi %s"
       (String.concat "," (List.map string_of_int order))
       (Permutation.to_string pi)
 
-let check_staged algo ~n r =
-  let* () = check_execution algo ~n ~stage:"canonical" r.pi r.canonical in
-  let* () = check_execution algo ~n ~stage:"decoded" r.pi r.decoded in
+(* Two replays in all: [canon], the canonical execution's (from
+   [complete], or made here), and the decoded execution's, which also
+   gives the fingerprint returned on success. *)
+let check_staged algo ~n ?canon r =
+  let canon =
+    match canon with
+    | Some c -> c
+    | None -> Replay.run ~algo ~projections:true ~n r.canonical
+  in
+  let dec = Replay.run ~algo ~projections:true ~fingerprint:true ~n r.decoded in
+  let* () = check_execution ~stage:"canonical" r.pi canon in
+  let* () = check_execution ~stage:"decoded" r.pi dec in
   let* () =
     let rec go i =
       if i >= n then Ok ()
-      else if
-        List.equal Step.equal
-          (Execution.projection r.decoded i)
-          (Execution.projection r.canonical i)
+      else if List.equal Step.equal dec.Replay.steps_rev.(i) canon.Replay.steps_rev.(i)
       then go (i + 1)
       else Error ("projection", Printf.sprintf "projection of p%d differs" i)
     in
     go 0
   in
   let* () =
-    let dc = Lb_cost.State_change.cost algo ~n r.decoded in
+    let dc = Replay.cost dec in
     if dc = r.cost then Ok ()
     else
       Error
@@ -112,22 +121,13 @@ let check_staged algo ~n r =
     if r.bits > 0 then Ok () else Error ("encoding", "empty encoding")
   in
   let reparsed = Encode.parse ~n r.encoding.Encode.bits in
-  if reparsed = r.encoding.Encode.cells then Ok ()
+  if reparsed = r.encoding.Encode.cells then Ok dec.Replay.fingerprint
   else Error ("roundtrip", "cells do not round-trip through the binary form")
 
 let check algo ~n r =
   match check_staged algo ~n r with
-  | Ok () -> Ok ()
+  | Ok _ -> Ok ()
   | Error (stage, message) -> Error (stage ^ ": " ^ message)
-
-let checked algo ~n r =
-  match check_staged algo ~n r with
-  | Ok () -> r
-  | Error (stage, message) ->
-    raise
-      (Check_failed { algo = algo.Algorithm.name; n; pi = r.pi; stage; message })
-
-let run_checked algo ~n pi = checked algo ~n (run algo ~n pi)
 
 type record = {
   r_pi : Permutation.t;
@@ -135,6 +135,20 @@ type record = {
   r_bits : int;
   r_exec_fp : string;
 }
+
+(* A completed construction, checked, and its record. *)
+let checked_record algo ~n (r, canon) =
+  match check_staged algo ~n ~canon r with
+  | Ok fp -> (r, { r_pi = r.pi; r_cost = r.cost; r_bits = r.bits; r_exec_fp = fp })
+  | Error (stage, message) ->
+    raise
+      (Check_failed { algo = algo.Algorithm.name; n; pi = r.pi; stage; message })
+
+let run_record algo ~n pi =
+  require_registers_only ~what:"Pipeline.run" algo;
+  checked_record algo ~n (complete algo ~n pi (Construct.run algo ~n pi))
+
+let run_checked algo ~n pi = fst (run_record algo ~n pi)
 
 let record_of_result r =
   {
@@ -219,8 +233,8 @@ let trie_records algo ~n ~jobs pis =
     Construct.run_family algo ~n
       (Array.to_list (Array.map (fun i -> pis.(i)) idx))
       (fun k c ->
-        let r = checked algo ~n (complete algo ~n c.Construct.pi c) in
-        out := (idx.(k), record_of_result r) :: !out);
+        let _, rc = checked_record algo ~n (complete algo ~n c.Construct.pi c) in
+        out := (idx.(k), rc) :: !out);
     !out
   in
   let all = Array.init (Array.length pis) Fun.id in
@@ -248,9 +262,7 @@ let records algo ~n ~perms ?jobs () =
   try trie_records algo ~n ~jobs (Array.of_list perms) with
   | Lb_util.Pool.Cancelled as e -> raise e
   | _ ->
-    Lb_util.Pool.map ~jobs
-      (fun pi -> record_of_result (run_checked algo ~n pi))
-      perms
+    Lb_util.Pool.map ~jobs (fun pi -> snd (run_record algo ~n pi)) perms
 
 let certify algo ~n ~perms ?(exhaustive = false) ?jobs () =
   if perms = [] then invalid_arg "Pipeline.certify: empty permutation family";

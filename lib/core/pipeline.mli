@@ -52,7 +52,8 @@ val check : Lb_shmem.Algorithm.t -> n:int -> result -> (unit, string) Result.t
        [decoded|i = canonical|i] for every [i] (both are linearizations
        of [(M, ⪯)], Lemma 5.4 / Theorem 7.4);}
     {- their SC costs agree (Lemma 6.1);}
-    {- [|E_pi| > 0] and the parsed cells round-trip.}} *)
+    {- [|E_pi| > 0] and the parsed cells round-trip.}}
+    It replays each execution once ({!Lb_shmem.Replay.run}). *)
 
 val run_checked : Lb_shmem.Algorithm.t -> n:int -> Permutation.t -> result
 (** {!run} followed by {!check}; raises {!Check_failed} on a check
@@ -70,6 +71,13 @@ type record = {
     certificates without re-running the pipeline. *)
 
 val record_of_result : result -> record
+(** The record of a result; [r_exec_fp] is
+    {!Lb_shmem.Execution.fingerprint} of [decoded]. *)
+
+val run_record : Lb_shmem.Algorithm.t -> n:int -> Permutation.t -> result * record
+(** {!run_checked} and its record, from two {!Lb_shmem.Replay.run}
+    passes: the canonical execution's gives [cost] and its checks, the
+    decoded one's the rest of {!check} and [r_exec_fp]. *)
 
 val certificate_of_records :
   Lb_shmem.Algorithm.t ->

@@ -7,7 +7,10 @@
     repeatedly reading it without changing state — is charged only for the
     final read that actually wakes it. Writes always cost one unit: a
     process that did not change state after a write would be stuck in that
-    state forever (footnote 6). *)
+    state forever (footnote 6).
+
+    [cost] and [per_process] are views of the one replay pass,
+    {!Lb_shmem.Replay.run}, which checks the execution in the same walk. *)
 
 val cost : Lb_shmem.Algorithm.t -> n:int -> Lb_shmem.Execution.t -> int
 (** [cost algo ~n alpha] is [C(alpha)], the total SC cost. Raises

@@ -77,6 +77,4 @@ val fault_to_string : fault -> string
 (** Compact one-token rendering, e.g. ["crash_p0_at_enter"],
     ["lost_write_p1_nth2"]. Used in labels and matrix JSON. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 val pp_plan : Format.formatter -> plan -> unit

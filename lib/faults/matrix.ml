@@ -205,22 +205,8 @@ let expect_outcomes = function
   | Detects allowed -> allowed
   | Any -> [ "*" ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_string_list xs =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") xs) ^ "]"
+  "[" ^ String.concat "," (List.map Lb_util.Json.escape xs) ^ "]"
 
 let format_version = 1
 
@@ -234,15 +220,15 @@ let to_json t =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"algo\": %S, \"n\": %d, \"plan\": %S, \"faults\": %s, \
-            \"engine\": %S, \"expect\": %s, \"outcome\": %S, \"ok\": %b}"
-           (json_escape r.cell.algo) r.cell.n
-           (json_escape r.cell.plan.Fault.label)
+           "    {\"algo\": %s, \"n\": %d, \"plan\": %s, \"faults\": %s, \
+            \"engine\": %s, \"expect\": %s, \"outcome\": %s, \"ok\": %b}"
+           (Lb_util.Json.escape r.cell.algo) r.cell.n
+           (Lb_util.Json.escape r.cell.plan.Fault.label)
            (json_string_list
               (List.map Fault.fault_to_string r.cell.plan.Fault.faults))
-           (json_escape (engine_to_string r.cell.engine))
+           (Lb_util.Json.escape (engine_to_string r.cell.engine))
            (json_string_list (expect_outcomes r.cell.expect))
-           (json_escape r.outcome) r.ok))
+           (Lb_util.Json.escape r.outcome) r.ok))
     t.rows;
   Buffer.add_string b
     (Printf.sprintf "\n  ],\n  \"total\": %d,\n  \"passed\": %d,\n  \

@@ -21,12 +21,6 @@ type claim_fuzz =
   | Duplicate  (** plant a same-epoch [.quit] twin next to a [.claim] *)
   | Garbage  (** drop a non-protocol filename into the directory *)
 
-let fuzz_to_string = function
-  | Truncate -> "truncate"
-  | Bitflip -> "bitflip"
-  | Duplicate -> "duplicate"
-  | Garbage -> "garbage"
-
 (* Per-worker kill points for a crash storm: [survivors] workers never
    die (max_int), the rest SIGKILL themselves after a seeded number of
    computed units in [1, ceil(total/workers)] — early enough that
@@ -72,11 +66,7 @@ let skew_claims ~dir ~by =
       | exception Unix.Unix_error _ -> n)
     0 (claim_files dir)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = Lb_util.Fsio.read ~path ()
 
 let write_file path s =
   let oc = open_out_bin path in

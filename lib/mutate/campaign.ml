@@ -388,21 +388,7 @@ let pp ppf t =
         algo op)
     (stale_triage t)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr = Lb_util.Json.escape
 let json_strings xs = "[" ^ String.concat ", " (List.map jstr xs) ^ "]"
 
 let json_ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"

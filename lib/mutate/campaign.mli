@@ -106,11 +106,6 @@ val stack :
     Exposed so tests can drive the faulty controls through every layer
     without mutating them. *)
 
-val baseline_rules :
-  passes:Lb_analysis.Pass.t list -> Algorithm.t -> n:int -> string list
-(** The gating rules the unmutated algorithm already triggers at [n]
-    (sorted, deduplicated). *)
-
 val run :
   ?config:config ->
   ?jobs:int ->

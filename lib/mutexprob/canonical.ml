@@ -8,17 +8,15 @@ let fail algo ~n reason =
   raise (Check_failed { algo = algo.Algorithm.name; n; reason })
 
 let validate algo ~n ~rounds exec =
-  (match Checker.check ~n exec with
-  | Ok () -> ()
-  | Error v -> fail algo ~n (Checker.violation_to_string v));
-  let sections = Checker.completed_sections ~n exec in
+  let r = Replay.run ~n exec in
+  Option.iter (fun v -> fail algo ~n (Checker.violation_to_string v)) r.Replay.violation;
   Array.iteri
     (fun i c ->
       if c <> rounds then
         fail algo ~n
           (Printf.sprintf "p%d completed %d sections, expected %d" i c rounds))
-    sections;
-  { exec; enter_order = Execution.crit_order exec }
+    r.Replay.sections;
+  { exec; enter_order = r.Replay.order }
 
 let run ?order ?(max_steps = 1_000_000) algo ~n =
   let order = match order with Some o -> o | None -> Array.init n (fun i -> i) in

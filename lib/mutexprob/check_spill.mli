@@ -74,11 +74,6 @@ and final = {
           [[who; tag; reg; a; b]] per the node-log step encoding *)
 }
 
-val manifest_to_string : meta -> string
-
-val manifest_of_string : string -> (meta, string) result
-(** Parse and verify (trailing checksum line) a manifest. *)
-
 val load_manifest :
   dir:string -> [ `Absent | `Manifest of meta | `Damaged of string ]
 

@@ -7,18 +7,19 @@
     executions and cannot be decided from one finite trace; the drivers in
     {!Canonical} and the explorer in {!Model_check} check the finite
     consequences we rely on (every scheduled process completes, no
-    reachable deadlock). *)
+    reachable deadlock).
 
-type phase = Remainder | Trying | Critical | Exit_section
+    Every check here is a view of the one replay pass,
+    {!Lb_shmem.Replay.run}, which also gives the pipeline its SC cost,
+    projections and fingerprint from the same walk. *)
+
+type phase = Lb_shmem.Replay.phase = Remainder | Trying | Critical | Exit_section
 
 val phase_name : phase -> string
 
-type violation =
+type violation = Lb_shmem.Replay.violation =
   | Not_well_formed of { who : int; at : int; detail : string }
-      (** process [who]'s critical step at index [at] breaks the
-          try/enter/exit/rem cycle *)
   | Mutex_violated of { a : int; b : int; at : int }
-      (** at step index [at], processes [a] and [b] are both critical *)
 
 val pp_violation : Format.formatter -> violation -> unit
 
@@ -34,7 +35,9 @@ val check_algorithm :
   n:int ->
   Lb_shmem.Execution.t ->
   (unit, [ `Violation of violation | `Mismatch of string ]) result
-(** {!check} plus a replay through the algorithm's automata. *)
+(** {!check} plus a replay through the algorithm's automata, in the same
+    pass. A violation wins over a replay mismatch; any other replay
+    failure is re-raised when there is no violation. *)
 
 val phases_at : n:int -> Lb_shmem.Execution.t -> upto:int -> phase array
 (** Phase of every process after the first [upto] steps. *)

@@ -6,7 +6,6 @@ let create () = Vec.create ()
 let of_steps l = Vec.of_list l
 let length = Vec.length
 let append = Vec.push
-let concat_onto t l = List.iter (Vec.push t) l
 let get = Vec.get
 let steps = Vec.to_list
 let copy = Vec.copy
@@ -18,7 +17,13 @@ let equal a b =
   go 0
 
 let projection t i =
-  List.filter (fun (s : Step.t) -> s.Step.who = i) (steps t)
+  let rec go j acc =
+    if j < 0 then acc
+    else
+      let (s : Step.t) = Vec.get t j in
+      go (j - 1) (if s.Step.who = i then s :: acc else acc)
+  in
+  go (Vec.length t - 1) []
 
 let replay_prefix algo ~n t ~len =
   let sys = System.init algo ~n in
@@ -45,66 +50,10 @@ let fold_outcomes algo ~n t ~init ~f =
   !acc
 
 let crit_order t =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  Vec.iter
-    (fun (s : Step.t) ->
-      match s.Step.action with
-      | Step.Crit Step.Enter ->
-        if not (Hashtbl.mem seen s.Step.who) then begin
-          Hashtbl.add seen s.Step.who ();
-          order := s.Step.who :: !order
-        end
-      | Step.Read _ | Step.Write _ | Step.Rmw _
-      | Step.Crit (Step.Try | Step.Exit | Step.Rem) -> ())
-    t;
-  List.rev !order
+  let n = Vec.fold_left (fun acc (s : Step.t) -> max acc (s.Step.who + 1)) 0 t in
+  (Replay.run ~n t).Replay.order
 
-let count_crit t which =
-  let n =
-    Vec.fold_left (fun acc (s : Step.t) -> max acc (s.Step.who + 1)) 0 t
-  in
-  let counts = Array.make n 0 in
-  Vec.iter
-    (fun (s : Step.t) ->
-      match s.Step.action with
-      | Step.Crit c when Step.equal_crit c which ->
-        counts.(s.Step.who) <- counts.(s.Step.who) + 1
-      | Step.Read _ | Step.Write _ | Step.Rmw _ | Step.Crit _ -> ())
-    t;
-  counts
-
-(* Appends exactly the bytes of [Step.to_string s], without going
-   through Format: fingerprinting runs once per certified pi. Only the
-   rare rmw step still formats. *)
-let add_step buf (s : Step.t) =
-  let int i = Buffer.add_string buf (string_of_int i) in
-  Buffer.add_char buf 'p';
-  int s.Step.who;
-  Buffer.add_char buf ':';
-  match s.Step.action with
-  | Step.Read r ->
-    Buffer.add_string buf "read(r";
-    int r;
-    Buffer.add_char buf ')'
-  | Step.Write (r, v) ->
-    Buffer.add_string buf "write(r";
-    int r;
-    Buffer.add_char buf ',';
-    int v;
-    Buffer.add_char buf ')'
-  | Step.Rmw _ as a ->
-    Buffer.add_string buf (Format.asprintf "%a" Step.pp_action a)
-  | Step.Crit c -> Buffer.add_string buf (Step.crit_name c)
-
-let fingerprint t =
-  let buf = Buffer.create (Vec.length t * 16) in
-  Vec.iter
-    (fun s ->
-      add_step buf s;
-      Buffer.add_char buf ';')
-    t;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint = Replay.fingerprint
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>[";

@@ -16,9 +16,6 @@ val length : t -> int
 
 val append : t -> Step.t -> unit
 
-val concat_onto : t -> Step.t list -> unit
-(** Append several steps in order. *)
-
 val get : t -> int -> Step.t
 
 val steps : t -> Step.t list
@@ -29,7 +26,8 @@ val equal : t -> t -> bool
 (** Structural equality of the step sequences. *)
 
 val projection : t -> int -> Step.t list
-(** [projection alpha i] is [alpha|i]: the subsequence of [i]'s steps. *)
+(** [projection alpha i] is [alpha|i]: the subsequence of [i]'s steps,
+    filtered in one pass. *)
 
 val replay : Algorithm.t -> n:int -> t -> System.t
 (** Replay from the initial state; raises {!System.Step_mismatch} when the
@@ -50,16 +48,12 @@ val fold_outcomes :
 
 val crit_order : t -> int list
 (** Processes in order of their first [Enter] step — the order in which the
-    critical section is granted. *)
-
-val count_crit : t -> Step.crit -> int array
-(** Per-process count of the given critical step. *)
+    critical section is granted ({!Replay.run}'s [order]). *)
 
 val fingerprint : t -> string
 (** A canonical string identifying the execution (used for distinctness
-    checks across permutations, Theorem 7.5): the hex MD5 of every
-    step's {!Step.to_string}, each followed by [';']. Stored in
-    certificate records, so these bytes are stable. *)
+    checks across permutations, Theorem 7.5): {!Replay.fingerprint}, the
+    one the pass computes with [~fingerprint:true]. *)
 
 val pp : Format.formatter -> t -> unit
 

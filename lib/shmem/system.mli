@@ -48,10 +48,6 @@ val apply : t -> Step.t -> outcome
     action differs from the issuing process's pending action, and
     [Invalid_argument] on a bad process index or register. *)
 
-val response_of : t -> Step.action -> Step.response
-(** The response the action would get in the current state, without
-    executing it. *)
-
 val advance_proc : t -> int -> Proc.t
 (** [advance_proc t i] is process [i] advanced by the response its pending
     action would receive in the current state — one automaton transition,

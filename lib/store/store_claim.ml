@@ -1,5 +1,4 @@
 let default_ttl = 30.0
-let heartbeat_every = default_ttl /. 6.
 
 type t = { c_store : Store.t; c_sweep : string; c_dir : string }
 

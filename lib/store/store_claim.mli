@@ -129,10 +129,7 @@ val live_claims : Store.t -> ttl:float -> (string * string) list
 
 val default_ttl : float
 (** The claim TTL used by the CLI and serve paths when none is given:
-    [30.0] seconds — several heartbeat intervals ({!heartbeat_every})
+    [30.0] seconds — several heartbeat intervals
     past the longest expected unit, so a live-but-slow worker is not
     spuriously stolen from, while a SIGKILL'd worker's units are
     re-granted within a minute. *)
-
-val heartbeat_every : float
-(** Suggested heartbeat cadence for holders: [default_ttl /. 6.]. *)

@@ -159,7 +159,7 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
     let pi = pi_arr.(i) and key = key_arr.(i) in
     let compute () =
       let t_start = Unix.gettimeofday () in
-      let r = Lb_core.Pipeline.run_checked algo ~n pi in
+      let r, rc = Lb_core.Pipeline.run_record algo ~n pi in
       (* Cooperative, post-hoc deadline: OCaml domains cannot be
          preempted mid-pipeline, so the unit runs to completion and is
          then discarded — raised before the Store.put so a timed-out pi
@@ -171,7 +171,6 @@ let sweep ~store ?(resume = false) ?jobs ?(checkpoint_every = 64)
       | Some limit when Unix.gettimeofday () -. t_start > limit ->
         raise (Pi_timeout { pi; limit })
       | Some _ | None -> ());
-      let rc = Lb_core.Pipeline.record_of_result r in
       Store.put store
         {
           Store.e_algo = name;
@@ -288,23 +287,7 @@ let pp_progress ppf p =
 
 (* ------------------------------ telemetry ----------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string = Lb_util.Json.escape
 
 let pi_json pi =
   json_string

@@ -189,12 +189,11 @@ let work ~store ?jobs ?(ttl = Store_claim.default_ttl) ?batch
         | None -> (
           let run () =
             let t_start = Unix.gettimeofday () in
-            let r = Lb_core.Pipeline.run_checked algo ~n pi in
+            let r, rc = Lb_core.Pipeline.run_record algo ~n pi in
             (match pi_timeout with
             | Some limit when Unix.gettimeofday () -. t_start > limit ->
               raise (Sweep.Pi_timeout { pi; limit })
             | Some _ | None -> ());
-            let rc = Lb_core.Pipeline.record_of_result r in
             Store.put store
               {
                 Store.e_algo = name;
@@ -438,24 +437,7 @@ let certify ~store ?jobs ?ttl ?batch ?checkpoint_every ?save_traces ?pi_timeout
 (* ------------------------------ telemetry ----------------------------- *)
 
 let event_to_json ev =
-  let js s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  in
+  let js = Lb_util.Json.escape in
   let pi_json pi =
     js
       (String.concat ","

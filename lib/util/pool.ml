@@ -67,20 +67,24 @@ let parallel_map ~jobs ?cancel f items =
   let finished = Condition.create () in
   let next = ref 0 in
   let live = ref 0 in
+  (* [failure] keeps the failure at the lowest input index, so the
+     exception raised is the one the sequential map raises. Indices are
+     handed out in order and [take] stops once a failure is recorded, so
+     every index below it has been handed out; the map waits for them
+     and keeps the lowest. *)
   let failure = ref None in
-  (* [take] hands out input indices; once a failure is recorded it
-     returns [None] so workers fail fast instead of draining the rest
-     of the sweep. *)
   let take () =
     (* Checked outside the lock: [requested] reads atomics only, and a
        cancellation observed by one worker is recorded as the shared
-       failure, so every other worker stops at its next take. *)
+       failure, so every other worker stops at its next take. It sits
+       at the first index not handed out, as in [seq_map], which polls
+       the token only after the items before it. *)
     let cancelled = cancel_requested cancel in
     Mutex.lock lock;
     let i =
       if cancelled then begin
         if !failure = None then
-          failure := Some (Cancelled, Printexc.get_callstack 0);
+          failure := Some (!next, Cancelled, Printexc.get_callstack 0);
         None
       end
       else if !failure <> None || !next >= n then None
@@ -93,9 +97,11 @@ let parallel_map ~jobs ?cancel f items =
     Mutex.unlock lock;
     i
   in
-  let record exn bt =
+  let record i exn bt =
     Mutex.lock lock;
-    if !failure = None then failure := Some (exn, bt);
+    (match !failure with
+    | Some (j, _, _) when j < i -> ()
+    | Some _ | None -> failure := Some (i, exn, bt));
     Mutex.unlock lock
   in
   let rec drain () =
@@ -104,7 +110,7 @@ let parallel_map ~jobs ?cancel f items =
     | Some i ->
       (match f items.(i) with
       | y -> results.(i) <- Done y
-      | exception exn -> record exn (Printexc.get_raw_backtrace ()));
+      | exception exn -> record i exn (Printexc.get_raw_backtrace ()));
       drain ()
   in
   let worker () =
@@ -132,7 +138,7 @@ let parallel_map ~jobs ?cancel f items =
   Mutex.unlock lock;
   Array.iter Domain.join domains;
   (match !failure with
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+  | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ());
   Array.to_list
     (Array.map (function Done y -> y | Empty -> assert false) results)

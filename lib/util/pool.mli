@@ -11,10 +11,11 @@
     {- preserves order: the result list lines up with the input list
        exactly as [List.map]'s would, whatever order the workers finish
        in;}
-    {- propagates exceptions fail-fast: the first exception raised by
-       [f] is re-raised (with its backtrace) in the calling domain, and
-       workers stop picking up new items as soon as a failure is
-       recorded;}
+    {- propagates exceptions fail-fast and deterministically: workers
+       stop picking up new items as soon as a failure is recorded, the
+       items already running finish, and the exception of the
+       lowest-indexed failing item — the one [List.map] would raise — is
+       re-raised (with its backtrace) in the calling domain;}
     {- is deterministic: for a pure [f], [map ~jobs:k f xs = List.map f xs]
        for every [k] — parallelism only changes wall-clock time, never
        results. The test suite checks this with a qcheck property over
@@ -47,7 +48,8 @@ val set_default_jobs : int -> unit
     applied run to completion (a pipeline unit cannot be preempted
     mid-run), no {e new} items are started once the token fires, and
     the [map] call raises {!Cancelled} after the in-flight items have
-    drained. Combined with the sweep engine's finally-checkpoint, this
+    drained — unless one of them failed, since an item's failure comes
+    before a cancellation observed after it was started. Combined with the sweep engine's finally-checkpoint, this
     is exactly the "checkpoint the manifest and exit cleanly" shape the
     long-running service needs. *)
 

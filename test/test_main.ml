@@ -14,6 +14,7 @@ let () =
       ("shmem", Test_shmem.suite);
       ("cost", Test_cost.suite);
       ("mutex", Test_mutex.suite);
+      ("replay", Test_replay.suite);
       ("algorithms", Test_algorithms.suite);
       ("permutation", Test_permutation.suite);
       ("poset", Test_poset.suite);

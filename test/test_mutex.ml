@@ -336,7 +336,7 @@ let test_mc_witness_replay_deadlock () =
   match r.Lb_mutex.Model_check.verdict with
   | Lb_mutex.Model_check.Deadlock tr ->
     let sys = Execution.replay flat ~n:3 tr in
-    let rems = Execution.count_crit tr Step.Rem in
+    let rems = (Replay.run ~n:3 tr).Replay.sections in
     let unfinished = List.filter (fun i -> rems.(i) < 1) [ 0; 1; 2 ] in
     Alcotest.(check bool) "some process unfinished" true (unfinished <> []);
     Alcotest.(check bool) "no unfinished process can move" true

@@ -63,18 +63,59 @@ let test_exception_fail_fast () =
   | exception Failure _ -> ());
   Alcotest.(check bool) "stopped early" true (Atomic.get executed < 10_000)
 
+let test_lowest_failure_wins () =
+  (* item 1 fails at once, item 0 only after seeing that: the map must
+     still raise item 0's failure, as List.map would *)
+  let one_failed = Atomic.make false in
+  let f i =
+    if i = 1 then begin
+      Atomic.set one_failed true;
+      failwith "1"
+    end;
+    if i = 0 then begin
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get one_failed)) && Unix.gettimeofday () -. t0 < 5. do
+        Domain.cpu_relax ()
+      done;
+      failwith "0"
+    end;
+    i
+  in
+  for _ = 1 to 5 do
+    Atomic.set one_failed false;
+    match Pool.map ~jobs:2 f (List.init 50 Fun.id) with
+    | _ -> Alcotest.fail "exception swallowed"
+    | exception Failure m -> Alcotest.(check string) "lowest index" "0" m
+  done;
+  (* many failures, many jobs: always the first in input order *)
+  for _ = 1 to 20 do
+    match
+      Pool.map ~jobs:4
+        (fun i -> if i mod 7 = 3 then failwith (string_of_int i) else i)
+        (List.init 200 Fun.id)
+    with
+    | _ -> Alcotest.fail "exception swallowed"
+    | exception Failure m -> Alcotest.(check string) "first failing item" "3" m
+  done
+
 let test_nested_map_degrades () =
   (* a map inside a pool worker runs sequentially instead of spawning
      another layer of domains — same results either way *)
   Alcotest.(check bool) "not in worker outside" false (Pool.in_worker ());
+  (* Alcotest is not domain-safe: workers only record the flag, and the
+     calling domain checks it after the map *)
+  let inside = Array.make 5 false in
   let rows =
     Pool.map ~jobs:2
       (fun row ->
-        Alcotest.(check bool) "in worker inside" true (Pool.in_worker ());
+        inside.(row) <- Pool.in_worker ();
         Pool.map ~jobs:4 (fun x -> (row * 10) + x) [ 0; 1; 2 ])
       [ 1; 2; 3; 4 ]
   in
   Alcotest.(check bool) "flag restored" false (Pool.in_worker ());
+  Alcotest.(check (list bool))
+    "in worker inside" [ true; true; true; true ]
+    (List.tl (Array.to_list inside));
   Alcotest.(check (list (list int)))
     "nested results"
     [ [ 10; 11; 12 ]; [ 20; 21; 22 ]; [ 30; 31; 32 ]; [ 40; 41; 42 ] ]
@@ -155,6 +196,7 @@ let suite =
     Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "exception fail-fast" `Quick test_exception_fail_fast;
+    Alcotest.test_case "lowest failure wins" `Quick test_lowest_failure_wins;
     Alcotest.test_case "nested map degrades" `Quick test_nested_map_degrades;
     Alcotest.test_case "iter" `Quick test_iter;
     Alcotest.test_case "default jobs" `Quick test_default_jobs;

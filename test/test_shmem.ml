@@ -185,7 +185,7 @@ let test_execution_projection () =
 let test_execution_crit_order () =
   let exec = toy_exec_n2 () in
   Alcotest.(check (list int)) "enter order" [ 1; 0 ] (Execution.crit_order exec);
-  Alcotest.(check (array int)) "rem counts" [| 1; 1 |] (Execution.count_crit exec Step.Rem)
+  Alcotest.(check (array int)) "rem counts" [| 1; 1 |] (Replay.run ~n:2 exec).Replay.sections
 
 let test_execution_equal_fingerprint () =
   let a = toy_exec_n2 () and b = toy_exec_n2 () in
@@ -207,19 +207,19 @@ let test_execution_prefix_replay () =
 
 let test_runner_round_robin () =
   let exec, _sys = Runner.run toy ~n:3 (Runner.round_robin ()) in
-  let sections = Execution.count_crit exec Step.Rem in
+  let sections = (Replay.run ~n:3 exec).Replay.sections in
   Alcotest.(check (array int)) "all done" [| 1; 1; 1 |] sections
 
 let test_runner_random () =
   let rng = Lb_util.Rng.create 99 in
   let exec, _sys = Runner.run toy ~n:3 (Runner.random rng ()) in
-  Alcotest.(check (array int)) "all done" [| 1; 1; 1 |] (Execution.count_crit exec Step.Rem)
+  Alcotest.(check (array int)) "all done" [| 1; 1; 1 |] (Replay.run ~n:3 exec).Replay.sections
 
 let test_runner_sc_greedy () =
   let exec, _sys =
     Runner.run toy ~n:3 (Runner.sc_greedy ~order:[| 0; 1; 2 |])
   in
-  Alcotest.(check (array int)) "all done" [| 1; 1; 1 |] (Execution.count_crit exec Step.Rem);
+  Alcotest.(check (array int)) "all done" [| 1; 1; 1 |] (Replay.run ~n:3 exec).Replay.sections;
   (* greedy never schedules a state-preserving read *)
   let charged = Lb_cost.State_change.charged_steps toy ~n:3 exec in
   let steps = Execution.steps exec in

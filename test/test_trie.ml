@@ -101,11 +101,11 @@ let test_records_match_per_pi () =
 (* Mutants of yang_anderson at n=3 that fail (stage-stuck or a failed
    check) for some but not all of S_3. Certify runs S_3 in descending
    order, so the trie walk meets the failing pi in another order than
-   the input. At jobs=1 it must raise exactly what the first failing
-   run_checked in input order raises; at jobs=2 the per-pi Pool.map
-   raises whichever failure happens first, so the exception must be one
-   of the per-pi ones. (yang_anderson's mutants fail fast; some bakery
-   and filter mutants only fail after burning a stage's whole fuel.) *)
+   the input. At jobs=1 and at jobs=2 it must raise exactly what the
+   first failing run_checked in input order raises: the per-pi Pool.map
+   keeps the failure with the lowest input index. (yang_anderson's
+   mutants fail fast; some bakery and filter mutants only fail after
+   burning a stage's whole fuel.) *)
 let test_errors_match_per_pi () =
   let n = 3 in
   let family = List.rev (P.all n) in
@@ -136,12 +136,36 @@ let test_errors_match_per_pi () =
           (Printexc.to_string e);
         Alcotest.(check bool) "same exception value" true (e = List.hd failures);
         Alcotest.(check bool)
-          (algo.Algorithm.name ^ " jobs=2 raises a per-pi failure")
+          (algo.Algorithm.name ^ " jobs=2 raises the first per-pi failure")
           true
-          (List.mem (raised 2) failures)
+          (raised 2 = List.hd failures)
       end)
     (Lb_mutate.Op.sites (Lb_analysis.Automaton.explore base ~n));
   Alcotest.(check bool) "some mutant fails part of the family" true (!cases >= 3)
+
+(* A filter mutant whose failures differ by stage: over S_3 in
+   descending order it used to raise Stage_stuck at stage 2 with one job
+   and at stage 1 with two. Its failing pi burn a stage's whole fuel, so
+   this runs a few seconds. *)
+let test_filter_mutant_same_error () =
+  let n = 3 in
+  let base = Lb_algos.Filter.algorithm in
+  let name = "filter!reg_swap@level2+victim1" in
+  let algo =
+    List.find_map
+      (fun op ->
+        let a = (Lb_mutate.Mutant.make base ~n op).Lb_mutate.Mutant.algo in
+        if a.Algorithm.name = name then Some a else None)
+      (Lb_mutate.Op.sites (Lb_analysis.Automaton.explore base ~n))
+    |> Option.get
+  in
+  let family = List.rev (P.all n) in
+  let raised jobs =
+    match Pl.certify algo ~n ~perms:family ~jobs () with
+    | _ -> Alcotest.fail (name ^ ": certify succeeded")
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check string) "jobs 1 = jobs 2" (raised 1) (raised 2)
 
 let suite =
   [
@@ -149,4 +173,6 @@ let suite =
     Alcotest.test_case "records = per-pi records" `Quick test_records_match_per_pi;
     Alcotest.test_case "errors match the per-pi sweep" `Quick
       test_errors_match_per_pi;
+    Alcotest.test_case "filter mutant: same error at any jobs" `Slow
+      test_filter_mutant_same_error;
   ]
